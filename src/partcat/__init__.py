@@ -1,6 +1,6 @@
 """Exact computations in partition and Temperley-Lieb diagram categories."""
 
-from . import algkit, coeff, delta, linalg, pcat, tl, young
+from . import algkit, coeff, delta, lincomb, linalg, pcat, tl, young
 from .coeff import (
     POLY_D,
     POLY_T,
@@ -23,6 +23,7 @@ __all__ = [
     "algkit",
     "coeff",
     "delta",
+    "lincomb",
     "linalg",
     "pcat",
     "tl",

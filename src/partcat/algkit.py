@@ -26,6 +26,7 @@ from .errors import (
     SplitError,
     TagMismatchError,
 )
+from .lincomb import RING_NAMES, to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
 from . import pcat, tl
@@ -329,6 +330,27 @@ def _bell(n: int) -> int:
     return row[0]
 
 
+def _end_algebra(cls, n: int, tag: RingTag, basis: list) -> FinDimAlgebra:
+    """End(n) in the diagram kind of ``cls``, over the given Hom(n, n) basis."""
+    compose = cls.kind.compose
+    index = {d: i for i, d in enumerate(basis)}
+    param = _raw(tag, tag.parameter())
+    one = _raw(tag, tag.one())
+    table = []
+    for bi in basis:
+        row = []
+        for bj in basis:
+            d, loops = compose(bi, bj)
+            row.append({index[d]: param**loops if loops else one})
+        table.append(row)
+    ident = cls.kind.diagram(n, n, tuple((i, n + i) for i in range(n)))
+
+    def to_morphism(vec):
+        return cls(n, n, tag, {basis[i]: _unraw(tag, c) for i, c in vec.items()})
+
+    return FinDimAlgebra(tag, list(basis), table, {index[ident]: one}, cls.kind.name, to_morphism)
+
+
 def end_algebra_partition(n: int, t=None) -> FinDimAlgebra:
     """End([A_n]) over Q at t (or the rational-function field if t is None)."""
     if _bell(2 * n) > PARTITION_DIM_CAP:
@@ -336,25 +358,7 @@ def end_algebra_partition(n: int, t=None) -> FinDimAlgebra:
             f"End([A_{n}]) dimension Bell({2 * n}) exceeds {PARTITION_DIM_CAP}"
         )
     tag = RATFUN_T if t is None else bound_q(Fraction(t), "t")
-    basis = hom_basis(n, n)
-    index = {d: i for i, d in enumerate(basis)}
-    param = _raw(tag, tag.parameter())
-    one = _raw(tag, tag.one())
-    table = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            d, interior = pcat._compose_diagrams(bi, bj)
-            row.append({index[d]: param**interior if interior else one})
-        table.append(row)
-    unit = {index[pcat.identity(n, tag).sorted_terms()[0][0]]: one}
-
-    def to_morphism(vec):
-        return Morphism(
-            n, n, tag, {basis[i]: _unraw(tag, c) for i, c in vec.items()}
-        )
-
-    return FinDimAlgebra(tag, list(basis), table, unit, "partition", to_morphism)
+    return _end_algebra(Morphism, n, tag, hom_basis(n, n))
 
 
 def end_algebra_tl(n: int, ring: Optional[RingTag] = None) -> FinDimAlgebra:
@@ -362,26 +366,7 @@ def end_algebra_tl(n: int, ring: Optional[RingTag] = None) -> FinDimAlgebra:
     if n > TL_STRAND_CAP:
         raise CapExceededError(f"TL end algebras capped at {TL_STRAND_CAP} strands")
     tag = RATFUN_D if ring is None else ring
-    basis = tl.noncrossing_matchings(n, n)
-    index = {d: i for i, d in enumerate(basis)}
-    param = _raw(tag, tag.parameter())
-    one = _raw(tag, tag.one())
-    table = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            d, loops = tl._tl_compose(bi, bj)
-            row.append({index[d]: param**loops if loops else one})
-        table.append(row)
-    ident = tl.tl_identity(n, tag).sorted_terms()[0][0]
-    unit = {index[ident]: one}
-
-    def to_morphism(vec):
-        return tl.TLMorphism(
-            n, n, tag, {basis[i]: _unraw(tag, c) for i, c in vec.items()}
-        )
-
-    return FinDimAlgebra(tag, list(basis), table, unit, "tl", to_morphism)
+    return _end_algebra(tl.TLMorphism, n, tag, tl.noncrossing_matchings(n, n))
 
 
 def end_algebra(source: str, n: int, *, t=None, ring: Optional[RingTag] = None,
@@ -875,14 +860,10 @@ def _newton_idempotent(A: FinDimAlgebra, y: dict, bound: int = 60) -> dict:
 
 def algebra_to_dict(A: FinDimAlgebra) -> dict:
     """Dump an algebra: labels, unit, and structure constants as strings."""
-    from .pcat import RING_NAMES
 
     def label_json(label):
-        if isinstance(label, pcat.PartitionDiagram):
-            return [list(b) for b in label.blocks]
-        if isinstance(label, tl.TLDiagram):
-            return [list(p) for p in label.pairs]
-        return str(label)
+        parts = getattr(label, "parts", None)  # corner algebras label by name
+        return str(label) if parts is None else [list(p) for p in parts]
 
     obj = {"kind": A.kind, "dim": A.dim, "ring": RING_NAMES[A.tag.kind]}
     if A.tag.kind == "Q" and A.tag.value is not None:
@@ -903,7 +884,7 @@ def decomposition_to_list(dec: "IdempotentDecomposition") -> list:
     """IdempotentDecomposition as a list of morphism JSON documents."""
     out = []
     for m, comp, prim in zip(dec.morphisms(), dec.component, dec.primitive):
-        doc = tl.tl_to_dict(m) if isinstance(m, tl.TLMorphism) else pcat.morphism_to_dict(m)
+        doc = to_dict(m)
         doc["primitive"] = prim
         doc["component"] = comp
         out.append(doc)

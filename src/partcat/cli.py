@@ -28,6 +28,7 @@ from .errors import (
     PartcatError,
     SchemaError,
 )
+from .lincomb import from_dict, negligible, to_dict
 
 RING_CHOICES = ("Q", "Qt", "Qratfun", "Qdelta")
 
@@ -40,33 +41,25 @@ def _emit(args, payload: dict, lines):
             sys.stdout.write(line + "\n")
 
 
-def _morphism_dict(m) -> dict:
-    if isinstance(m, tl.TLMorphism):
-        return tl.tl_to_dict(m)
-    return pcat.morphism_to_dict(m)
-
-
 def _write_morphism(path: str, m):
-    Path(path).write_text(json.dumps(_morphism_dict(m), indent=2) + "\n")
+    Path(path).write_text(json.dumps(to_dict(m), indent=2) + "\n")
 
 
 def read_morphism_file(path: str):
-    """Load a morphism JSON document, partition or TL flavoured."""
+    """Load a morphism JSON document of the kind it names."""
     text = Path(path).read_text()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", f"offset {exc.pos}") from exc
-    if isinstance(obj, dict) and obj.get("kind") == "tl":
-        return tl.tl_from_dict(obj)
-    return pcat.morphism_from_dict(obj)
+    return from_dict(obj)
 
 
 def _output_morphism(args, m):
     if getattr(args, "output", None):
         _write_morphism(args.output, m)
     else:
-        sys.stdout.write(json.dumps(_morphism_dict(m), indent=2) + "\n")
+        sys.stdout.write(json.dumps(to_dict(m), indent=2) + "\n")
 
 
 def _ring_from_args(args, var: str = "t") -> RingTag:
@@ -136,9 +129,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_gram(args) -> int:
     ring = _ring_from_args(args)
-    matrix = pcat.gram_matrix(
-        args.n, args.n, ring, cap=args.bound, workers=args.threads
-    )
+    matrix = pcat.gram_matrix(args.n, args.n, ring, cap=args.bound)
     rendered = [[x.render() for x in row] for row in matrix]
     lines = ["  ".join(row) for row in rendered]
     _emit(args, {"a": args.n, "b": args.n, "matrix": rendered}, lines)
@@ -146,11 +137,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_negligible(args) -> int:
-    f = read_morphism_file(args.f)
-    if isinstance(f, tl.TLMorphism):
-        verdict = tl.tl_negligible(f, cap=args.bound)
-    else:
-        verdict = pcat.is_negligible(f, cap=args.bound)
+    verdict = negligible(read_morphism_file(args.f), cap=args.bound)
     _emit(args, {"negligible": verdict}, [f"negligible: {verdict}"])
     return 0
 
@@ -231,7 +218,7 @@ def _cmd_decompose(args) -> int:
         tval = Fraction(parse_coefficient(args.t, QQ).data)
     else:
         raise CoeffParseError("decompose needs --d or --t", 0)
-    A = algkit.end_algebra_partition(args.n, tval)
+    A = algkit._cached_partition_algebra(args.n, tval)  # identify_summand reuses it
     dec = algkit.split_idempotent(A, A.unit)
     reps = {}
     sizes = {}
@@ -268,12 +255,7 @@ def _tl_ring(args) -> RingTag:
 def _cmd_tl(args) -> int:
     op = args.op
     if op == "jw":
-        ring = _tl_ring(args)
-        f = tl.jw(args.n, ring)
-        if getattr(args, "output", None):
-            _write_morphism(args.output, f)
-            return 0
-        _output_morphism(args, f)
+        _output_morphism(args, tl.jw(args.n, _tl_ring(args)))
         return 0
     if op == "quantum":
         ring = _tl_ring(args)
@@ -290,12 +272,9 @@ def _cmd_tl(args) -> int:
         _output_morphism(args, f)
         return 0
     if op == "negligible":
-        if getattr(args, "f", None):
-            m = read_morphism_file(args.f)
-            verdict = tl.tl_negligible(m, cap=args.bound)
-        else:
-            ring = _tl_ring(args)
-            verdict = tl.jw_negligible(args.n, ring)
+        if args.f:
+            return _cmd_negligible(args)
+        verdict = tl.jw_negligible(args.n, _tl_ring(args))
         _emit(args, {"negligible": verdict}, [f"negligible: {verdict}"])
         return 0
     if op == "block":
@@ -303,14 +282,13 @@ def _cmd_tl(args) -> int:
         _emit(args, {"weight": args.n, "l": args.l, "block": ident}, [f"block: {ident}"])
         return 0
     if op == "compose":
-        f = read_morphism_file(args.f)
-        g = read_morphism_file(args.g)
-        _output_morphism(args, g @ f)
-        return 0
+        if args.f is None or args.g is None:
+            raise ValueError("tl compose needs -f and -g")
+        return _cmd_compose(args)
     if op == "trace":
-        value = read_morphism_file(args.f).trace()
-        _emit(args, {"trace": value.render()}, [f"trace: {value.render()}"])
-        return 0
+        if args.f is None:
+            raise ValueError("tl trace needs -f")
+        return _cmd_trace(args)
     raise CoeffParseError(f"unknown tl operation {op!r}", 0)
 
 
@@ -327,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, files=0, output=False, ring=False, n=False, bound=False):
         p.add_argument("--json", action="store_true", help="emit JSON output")
-        p.add_argument("--threads", type=int, default=1)
         if files >= 1:
             p.add_argument("-f", required=True, help="morphism JSON input")
         if files >= 2:
@@ -411,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["jw", "quantum", "steinberg", "negligible", "block", "compose", "trace"],
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--delta", default=None, help="rational loop value")

@@ -493,6 +493,9 @@ def _render_poly(cs: Coeffs, var: str) -> str:
 # parsing
 
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts digits int() rejects
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -521,7 +524,7 @@ class _Tokens:
     def take_uint(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise CoeffParseError("expected an integer", start)
@@ -597,14 +600,14 @@ def _parse_atom(toks: _Tokens, tag: RingTag) -> RingElement:
         if tag.kind == "Q" or ch != tag.var:
             raise CoeffParseError(f"indeterminate {ch!r} not allowed by tag", pos)
         return tag.variable()
-    if ch == "-" or ch.isdigit():
+    if ch == "-" or ch in _DIGITS:
         sign = -1 if toks.take_symbol("-") else 1
         num = toks.take_uint()
         # an integer atom may continue as int '/' int
         save = toks.pos
         if toks.take_symbol("/"):
             nxt = toks.peek()
-            if nxt is not None and nxt.isdigit():
+            if nxt is not None and nxt in _DIGITS:
                 pos = toks.pos
                 den = toks.take_uint()
                 if den == 0:

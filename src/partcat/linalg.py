@@ -1,16 +1,16 @@
 """Small exact linear algebra over the coefficient fields.
 
 Matrices are lists of rows of :class:`RingElement` values sharing a field
-tag.  Only what the algebra toolkit needs is provided: echelon forms,
-rank, nullspace, linear solving, and an incremental row-space tracker.
-A fraction-free integer path keeps plain-Q computations fast.
+tag.  Only what the algebra toolkit needs is provided: the rank, through
+reduced row echelon form.  A fraction-free integer path keeps plain-Q
+computations fast.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .coeff import RingElement, RingTag
 
@@ -101,104 +101,3 @@ def rref(rows: Sequence[Sequence[RingElement]]):
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def nullspace(rows: Sequence[Sequence[RingElement]], tag: RingTag):
-    """Basis of the right kernel {x : rows @ x = 0}."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    zero, one = tag.zero(), tag.one()
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [zero] * ncols
-        vec[j] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][j]
-        basis.append(vec)
-    return basis
-
-
-def solve(rows, rhs, tag: RingTag) -> Optional[list]:
-    """One solution x of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    zero = tag.zero()
-    x = [zero] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # pivot in the constants column
-        x[pc] = red[i][ncols]
-    return x
-
-
-class Subspace:
-    """Incrementally tracked row space with coordinates in the original
-    generators.  Vectors are sequences of RingElements over a field tag."""
-
-    def __init__(self, tag: RingTag, dim: int):
-        self.tag = tag
-        self.ambient = dim
-        self._rows = []  # reduced vectors
-        self._combos = []  # same-length combos over added generators
-        self._pivots = []
-        self._added = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec, combo):
-        vec = list(vec)
-        for row, cmb, piv in zip(self._rows, self._combos, self._pivots):
-            c = vec[piv]
-            if c:
-                for j in range(self.ambient):
-                    vec[j] = vec[j] - c * row[j]
-                for j in range(len(cmb)):
-                    if cmb[j]:
-                        combo[j] = combo.get(j, self.tag.zero()) - c * cmb[j]
-        return vec, combo
-
-    def add(self, vec) -> bool:
-        """Insert a generator; returns True if it enlarged the space."""
-        combo = {self._added: self.tag.one()}
-        self._added += 1
-        vec, combo = self._reduce(vec, combo)
-        piv = next((j for j in range(self.ambient) if vec[j]), None)
-        if piv is None:
-            return False
-        inv = vec[piv].inv()
-        vec = [x * inv for x in vec]
-        dense = [self.tag.zero()] * self._added
-        for j, c in combo.items():
-            dense[j] = c * inv
-        self._rows.append(vec)
-        self._combos.append(dense)
-        self._pivots.append(piv)
-        return True
-
-    def coordinates(self, vec) -> Optional[list]:
-        """Coordinates of vec over the added generators, or None."""
-        out = [self.tag.zero()] * self._added
-        vec = list(vec)
-        for row, cmb, piv in zip(self._rows, self._combos, self._pivots):
-            c = vec[piv]
-            if c:
-                for j in range(self.ambient):
-                    vec[j] = vec[j] - c * row[j]
-                for j, x in enumerate(cmb):
-                    if x:
-                        out[j] = out[j] + c * x
-        if any(vec):
-            return None
-        return out
-
-    def contains(self, vec) -> bool:
-        return self.coordinates(vec) is not None

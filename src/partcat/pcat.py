@@ -3,24 +3,22 @@
 A diagram in Hom([A_a], [A_b]) is a set partition of a+b points, encoded
 0..a-1 for the bottom (source) row and a..a+b-1 for the top (target) row.
 Morphisms are finite linear combinations of diagrams over one of the exact
-coefficient rings; composition multiplies by parameter^l where l counts
-the interior parts of the stacked join.
+coefficient rings (the shared core in ``lincomb``); composition multiplies
+by parameter^l where l counts the interior parts of the stacked join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Sequence
 
-from .coeff import POLY_T, RingElement, RingTag, bound_q, number_field, parse_coefficient
-from .errors import CapExceededError, SchemaError, TagMismatchError
+from .coeff import POLY_T, RingElement, RingTag
+from .errors import CapExceededError
+from .lincomb import DiagramKind, LinComb, from_dict, negligible, to_dict
+from .lincomb import compose, dual, specialize, tensor, trace  # noqa: F401 (public pcat names)
 
 DEFAULT_CAP = 10
-
-RING_NAMES = {"Q": "Q", "poly": "Qt", "ratfun": "Qratfun", "numberfield": "Qdelta"}
-RING_KINDS = {v: k for k, v in RING_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +53,10 @@ class PartitionDiagram:
     @property
     def points(self) -> int:
         return self.bottom + self.top
+
+    @property
+    def parts(self) -> tuple:
+        return self.blocks
 
     def __repr__(self):
         body = ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -111,39 +113,39 @@ def _compose_diagrams(g: PartitionDiagram, f: PartitionDiagram):
     return _raw_diagram(a, c, out_blocks), interior
 
 
+def _tensor_parts(f, g) -> list:
+    """The parts of f (x) g: g's points go right of f's in both rows."""
+    a, b, c = f.bottom, f.top, g.bottom
+    parts = [tuple(p if p < a else p + c for p in part) for part in f.parts]
+    parts += [tuple(a + p if p < c else a + b + p for p in part) for part in g.parts]
+    # both shifts are monotone, so the points of a part stay sorted
+    return parts
+
+
+def _dual_parts(f) -> list:
+    """The parts of the flipped diagram: the rows trade places."""
+    a, b = f.bottom, f.top
+    return [tuple(sorted((p + b) if p < a else (p - a) for p in part)) for part in f.parts]
+
+
 @lru_cache(maxsize=1 << 16)
 def _tensor_diagrams(f: PartitionDiagram, g: PartitionDiagram) -> PartitionDiagram:
-    a, b = f.bottom, f.top
-    c, d = g.bottom, g.top
-
-    def shift_f(p):
-        return p if p < a else p + c
-
-    def shift_g(p):
-        return a + p if p < c else a + b + p
-
-    blocks = [tuple(shift_f(p) for p in blk) for blk in f.blocks]
-    blocks += [tuple(shift_g(p) for p in blk) for blk in g.blocks]
-    # both shifts are monotone, so block elements stay sorted
-    return _raw_diagram(a + c, b + d, blocks)
+    return _raw_diagram(f.bottom + g.bottom, f.top + g.top, _tensor_parts(f, g))
 
 
 @lru_cache(maxsize=1 << 16)
 def _dual_diagram(f: PartitionDiagram) -> PartitionDiagram:
-    a, b = f.bottom, f.top
-    blocks = [
-        tuple(sorted((p + b) if p < a else (p - a) for p in blk)) for blk in f.blocks
-    ]
-    return _raw_diagram(b, a, blocks)
+    return _raw_diagram(f.top, f.bottom, _dual_parts(f))
 
 
 @lru_cache(maxsize=1 << 16)
-def _closure_parts(f: PartitionDiagram) -> int:
+def _closure_parts(f) -> int:
+    """Components of the trace closure of an endomorphism diagram of any kind."""
     n = f.bottom
     parent = list(range(2 * n))
-    for block in f.blocks:
-        first = block[0]
-        for p in block[1:]:
+    for part in f.parts:
+        first = part[0]
+        for p in part[1:]:
             _uf_union(parent, first, p)
     for i in range(n):
         _uf_union(parent, i, n + i)
@@ -153,205 +155,35 @@ def _closure_parts(f: PartitionDiagram) -> int:
 # ---------------------------------------------------------------------------
 # morphisms
 
-_PARAM_POWERS: Dict[tuple, RingElement] = {}
+
+def _hom_diagrams(a: int, b: int, cap: Optional[int] = None) -> Iterator[PartitionDiagram]:
+    """The diagrams of Hom([A_a], [A_b]), lazily, after the cap check."""
+    _check_cap(a + b, cap)
+    # set_partitions yields the canonical encoding, so nothing to re-validate
+    return (_raw_diagram(a, b, blocks) for blocks in set_partitions(a + b))
 
 
-def _param_pow(ring: RingTag, exponent: int) -> RingElement:
-    key = (ring, exponent)
-    got = _PARAM_POWERS.get(key)
-    if got is None:
-        got = ring.parameter() ** exponent
-        _PARAM_POWERS[key] = got
-    return got
+PARTITION = DiagramKind(
+    name="partition",
+    var="t",
+    diagram=PartitionDiagram,
+    field="blocks",
+    doc_kind=None,
+    compose=_compose_diagrams,
+    tensor=_tensor_diagrams,
+    dual=_dual_diagram,
+    closure=_closure_parts,
+    basis=_hom_diagrams,
+)
 
 
-class Morphism:
+class Morphism(LinComb):
     """A finite linear combination of partition diagrams a -> b."""
 
-    __slots__ = ("source", "target", "ring", "terms")
-
-    def __init__(self, source: int, target: int, ring: RingTag, terms=None):
-        self.source = source
-        self.target = target
-        self.ring = ring
-        store: Dict[PartitionDiagram, RingElement] = {}
-        for diagram, coeff in (terms or {}).items():
-            if diagram.bottom != source or diagram.top != target:
-                raise ValueError("diagram sizes do not match the morphism")
-            if not isinstance(coeff, RingElement):
-                coeff = ring.from_fraction(coeff)
-            elif coeff.tag != ring:
-                raise TagMismatchError(f"{coeff.tag} vs {ring}")
-            if coeff:
-                store[diagram] = coeff
-        self.terms = store
-
-    # -- basics ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].blocks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Morphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"Morphism({self.source}->{self.target}; 0)"
-        body = " + ".join(
-            f"({c.render()})*{d!r}" for d, c in self.sorted_terms()
-        )
-        return f"Morphism({body})"
-
-    def _require_ring(self, other: "Morphism"):
-        if self.ring != other.ring:
-            raise TagMismatchError(f"{self.ring} vs {other.ring}")
-
-    # -- linear structure -------------------------------------------------
-
-    def __add__(self, other: "Morphism") -> "Morphism":
-        self._require_ring(other)
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("size mismatch in morphism addition")
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            acc = terms.get(d)
-            merged = c if acc is None else acc + c
-            if merged:
-                terms[d] = merged
-            else:
-                terms.pop(d, None)
-        out = Morphism.__new__(Morphism)
-        out.source, out.target, out.ring, out.terms = (
-            self.source,
-            self.target,
-            self.ring,
-            terms,
-        )
-        return out
-
-    def __neg__(self) -> "Morphism":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        return self + (-other)
-
-    def scale(self, c) -> "Morphism":
-        if not isinstance(c, RingElement):
-            c = self.ring.from_fraction(c)
-        elif c.tag != self.ring:
-            raise TagMismatchError(f"{c.tag} vs {self.ring}")
-        terms = {}
-        if c:
-            for d, x in self.terms.items():
-                y = x * c
-                if y:
-                    terms[d] = y
-        out = Morphism.__new__(Morphism)
-        out.source, out.target, out.ring, out.terms = (
-            self.source,
-            self.target,
-            self.ring,
-            terms,
-        )
-        return out
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    # -- categorical structure --------------------------------------------
-
-    def __matmul__(self, other: "Morphism") -> "Morphism":
-        """Composition self after other (self . other)."""
-        self._require_ring(other)
-        if other.target != self.source:
-            raise ValueError(
-                f"cannot compose {self.source}->{self.target} after "
-                f"{other.source}->{other.target}"
-            )
-        acc: Dict[PartitionDiagram, RingElement] = {}
-        for fd, fc in other.terms.items():
-            for gd, gc in self.terms.items():
-                diagram, interior = _compose_diagrams(gd, fd)
-                coeff = fc * gc
-                if interior:
-                    coeff = coeff * _param_pow(self.ring, interior)
-                old = acc.get(diagram)
-                merged = coeff if old is None else old + coeff
-                if merged:
-                    acc[diagram] = merged
-                else:
-                    acc.pop(diagram, None)
-        out = Morphism.__new__(Morphism)
-        out.source, out.target, out.ring, out.terms = (
-            other.source,
-            self.target,
-            self.ring,
-            acc,
-        )
-        return out
-
-    def tensor(self, other: "Morphism") -> "Morphism":
-        self._require_ring(other)
-        acc: Dict[PartitionDiagram, RingElement] = {}
-        for fd, fc in self.terms.items():
-            for gd, gc in other.terms.items():
-                diagram = _tensor_diagrams(fd, gd)
-                coeff = fc * gc
-                old = acc.get(diagram)
-                merged = coeff if old is None else old + coeff
-                if merged:
-                    acc[diagram] = merged
-        out = Morphism.__new__(Morphism)
-        out.source, out.target, out.ring, out.terms = (
-            self.source + other.source,
-            self.target + other.target,
-            self.ring,
-            acc,
-        )
-        return out
-
-    def dual(self) -> "Morphism":
-        terms = {_dual_diagram(d): c for d, c in self.terms.items()}
-        out = Morphism.__new__(Morphism)
-        out.source, out.target, out.ring, out.terms = (
-            self.target,
-            self.source,
-            self.ring,
-            terms,
-        )
-        return out
-
-    def trace(self) -> RingElement:
-        if self.source != self.target:
-            raise ValueError("trace requires an endomorphism")
-        total = self.ring.zero()
-        for d, c in self.terms.items():
-            total = total + c * _param_pow(self.ring, _closure_parts(d))
-        return total
-
-    def specialize(self, value) -> "Morphism":
-        """Evaluate all coefficients at a rational parameter value."""
-        if self.ring.kind not in ("poly", "ratfun"):
-            raise TagMismatchError("specialize applies to poly/ratfun morphisms")
-        tag = bound_q(Fraction(value), self.ring.var)
-        terms = {d: c.evaluate(value) for d, c in self.terms.items()}
-        return Morphism(self.source, self.target, tag, terms)
-
-    def map_ring(self, ring: RingTag, fn) -> "Morphism":
-        return Morphism(self.source, self.target, ring, {d: fn(c) for d, c in self.terms.items()})
+    __slots__ = ()
+    kind = PARTITION
+    # perfbench/tracer.py wraps these through vars(Morphism), so they are bound here
+    __matmul__, tensor, trace = LinComb.__matmul__, LinComb.tensor, LinComb.trace
 
 
 # ---------------------------------------------------------------------------
@@ -418,27 +250,6 @@ def dim(n: int, ring: RingTag = POLY_T) -> RingElement:
     return identity(n, ring).trace()
 
 
-def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f."""
-    return g @ f
-
-
-def tensor(f: Morphism, g: Morphism) -> Morphism:
-    return f.tensor(g)
-
-
-def dual(f: Morphism) -> Morphism:
-    return f.dual()
-
-
-def trace(f: Morphism) -> RingElement:
-    return f.trace()
-
-
-def specialize(f: Morphism, value) -> Morphism:
-    return f.specialize(value)
-
-
 # ---------------------------------------------------------------------------
 # dense enumeration: hom bases, Gram matrices, negligibility
 
@@ -478,100 +289,24 @@ def _check_cap(points: int, cap: Optional[int]):
 
 def hom_basis(a: int, b: int, cap: Optional[int] = None) -> list:
     """All diagrams in Hom([A_a], [A_b]), Bell(a+b) of them."""
-    _check_cap(a + b, cap)
-    return [PartitionDiagram(a, b, blocks) for blocks in set_partitions(a + b)]
+    return list(_hom_diagrams(a, b, cap))
 
 
-def gram_matrix(a: int, b: int, ring: RingTag = POLY_T, cap: Optional[int] = None, workers: int = 1):
+def gram_matrix(a: int, b: int, ring: RingTag = POLY_T, cap: Optional[int] = None):
     """G[i][j] = trace(dual(basis_j) . basis_i) over the Hom(a, b) basis."""
-    basis = hom_basis(a, b, cap)
-    morphs = [diagram_morphism(d, ring) for d in basis]
+    morphs = [diagram_morphism(d, ring) for d in hom_basis(a, b, cap)]
     duals = [m.dual() for m in morphs]
-
-    def row(i: int):
-        return [(duals[j] @ morphs[i]).trace() for j in range(len(basis))]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, range(len(basis))))
-    return [row(i) for i in range(len(basis))]
+    return [[(dj @ mi).trace() for dj in duals] for mi in morphs]
 
 
-def is_negligible(f: Morphism, cap: Optional[int] = None) -> bool:
-    """True iff trace(g . f) = 0 for every diagram g in Hom(target, source)."""
-    _check_cap(f.source + f.target, cap)
-    for blocks in set_partitions(f.source + f.target):
-        g = diagram_morphism(
-            PartitionDiagram(f.target, f.source, blocks), f.ring
-        )
-        if (g @ f).trace():
-            return False
-    return True
+is_negligible = negligible
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
-
-def _tag_to_json(ring: RingTag, obj: dict):
-    obj["ring"] = RING_NAMES[ring.kind]
-    if ring.kind == "Q" and ring.value is not None:
-        obj["t"] = str(ring.value)
-    if ring.kind == "numberfield":
-        obj["minpoly"] = RingElement(RingTag("poly", ring.var), ring.minpoly).render()
+morphism_to_dict = to_dict
 
 
-def _tag_from_json(obj: dict, var: str) -> RingTag:
-    name = obj.get("ring")
-    if name not in RING_KINDS:
-        raise SchemaError(f"unknown ring name {name!r}", "/ring")
-    kind = RING_KINDS[name]
-    if kind == "Q":
-        if "t" in obj:
-            try:
-                return bound_q(Fraction(obj["t"]), var)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"bad parameter value: {exc}", "/t") from exc
-        return RingTag("Q", var)
-    if kind == "numberfield":
-        if "minpoly" not in obj:
-            raise SchemaError("Qdelta requires a minpoly", "/minpoly")
-        return number_field(obj["minpoly"], "d")
-    return RingTag(kind, var)
-
-
-def morphism_to_dict(m: Morphism) -> dict:
-    obj: dict = {"source": m.source, "target": m.target}
-    _tag_to_json(m.ring, obj)
-    obj["terms"] = [
-        {"blocks": [list(b) for b in d.blocks], "coeff": c.render()}
-        for d, c in m.sorted_terms()
-    ]
-    return obj
-
-
-def morphism_from_dict(obj: dict, var: str = "t") -> Morphism:
-    if not isinstance(obj, dict):
-        raise SchemaError("morphism document must be an object", "")
-    for field in ("source", "target", "terms"):
-        if field not in obj:
-            raise SchemaError(f"missing field {field!r}", f"/{field}")
-    a, b = obj["source"], obj["target"]
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
-        raise SchemaError("source/target must be nonnegative integers", "/source")
-    ring = _tag_from_json(obj, var)
-    terms: Dict[PartitionDiagram, RingElement] = {}
-    for i, item in enumerate(obj["terms"]):
-        where = f"/terms/{i}"
-        if not isinstance(item, dict) or "blocks" not in item or "coeff" not in item:
-            raise SchemaError("term requires blocks and coeff", where)
-        try:
-            diagram = PartitionDiagram(a, b, tuple(tuple(blk) for blk in item["blocks"]))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"bad blocks: {exc}", f"{where}/blocks") from exc
-        coeff = parse_coefficient(item["coeff"], ring)
-        old = terms.get(diagram)
-        terms[diagram] = coeff if old is None else old + coeff
-    return Morphism(a, b, ring, terms)
+def morphism_from_dict(obj) -> Morphism:
+    return from_dict(obj, Morphism)

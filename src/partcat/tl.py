@@ -3,24 +3,20 @@
 Points use the same labelling as partition diagrams (bottom 0..a-1, top
 a..a+b-1); planarity is checked against the boundary order of the disk.
 Closed loops created by stacking evaluate to the loop parameter d, the
-polynomial variable of the delta rings.
+polynomial variable of the delta rings.  Morphisms are linear combinations
+over the shared core in ``lincomb``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import RATFUN_D, RingElement, RingTag, parse_coefficient
-from .errors import (
-    CapExceededError,
-    ProjectorUndefinedError,
-    SchemaError,
-    TagMismatchError,
-)
-from .pcat import _tag_from_json, _tag_to_json
+from .coeff import RATFUN_D, RingElement, RingTag
+from .errors import CapExceededError, ProjectorUndefinedError
+from .lincomb import DiagramKind, LinComb, compose, from_dict, negligible, tensor, to_dict, trace
+from .pcat import _closure_parts, _dual_parts, _tensor_parts
 
 DEFAULT_STRAND_CAP = 16
 
@@ -54,6 +50,10 @@ class TLDiagram:
     def points(self) -> int:
         return self.bottom + self.top
 
+    @property
+    def parts(self) -> tuple:
+        return self.pairs
+
     def __repr__(self):
         body = ",".join(f"({i},{j})" for i, j in self.pairs)
         return f"TL({self.bottom}->{self.top}; {body})"
@@ -65,6 +65,15 @@ def _boundary_positions(a: int, b: int) -> Dict[int, int]:
     for j in range(b):
         out[a + b - 1 - j] = a + j
     return out
+
+
+def _raw_tl(bottom: int, top: int, pairs) -> TLDiagram:
+    """Construct without re-validation; each pair must be sorted."""
+    d = object.__new__(TLDiagram)
+    object.__setattr__(d, "bottom", bottom)
+    object.__setattr__(d, "top", top)
+    object.__setattr__(d, "pairs", tuple(sorted(pairs)))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -112,236 +121,17 @@ def _tl_compose(g: TLDiagram, f: TLDiagram):
             nxt = [w for w in link[cur] if w != prev]
             # a doubled edge closes a two-point loop: step back to finish
             prev, cur = cur, (nxt or [prev])[0]
-    return TLDiagram(a, c, tuple(pairs)), loops
+    return _raw_tl(a, c, pairs), loops
 
 
 @lru_cache(maxsize=1 << 16)
 def _tl_tensor(f: TLDiagram, g: TLDiagram) -> TLDiagram:
-    a, b = f.bottom, f.top
-    c, d = g.bottom, g.top
-
-    def shift_f(p):
-        return p if p < a else p + c
-
-    def shift_g(p):
-        return a + p if p < c else a + b + p
-
-    pairs = [tuple(map(shift_f, pr)) for pr in f.pairs]
-    pairs += [tuple(map(shift_g, pr)) for pr in g.pairs]
-    return TLDiagram(a + c, b + d, tuple(pairs))
+    return _raw_tl(f.bottom + g.bottom, f.top + g.top, _tensor_parts(f, g))
 
 
 @lru_cache(maxsize=1 << 16)
-def _tl_closure_components(d: TLDiagram) -> int:
-    n = d.bottom
-    parent = list(range(2 * n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i, j in d.pairs:
-        union(i, j)
-    for i in range(n):
-        union(i, n + i)
-    return len({find(v) for v in range(2 * n)}) if n else 0
-
-
-# ---------------------------------------------------------------------------
-# morphisms
-
-
-class TLMorphism:
-    """A finite linear combination of planar matchings a -> b."""
-
-    __slots__ = ("source", "target", "ring", "terms")
-
-    def __init__(self, source: int, target: int, ring: RingTag, terms=None):
-        self.source = source
-        self.target = target
-        self.ring = ring
-        store: Dict[TLDiagram, RingElement] = {}
-        for d, c in (terms or {}).items():
-            if d.bottom != source or d.top != target:
-                raise ValueError("diagram sizes do not match the morphism")
-            if not isinstance(c, RingElement):
-                c = ring.from_fraction(c)
-            elif c.tag != ring:
-                raise TagMismatchError(f"{c.tag} vs {ring}")
-            if c:
-                store[d] = c
-        self.terms = store
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].pairs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TLMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"TLMorphism({self.source}->{self.target}; 0)"
-        return "TLMorphism(" + " + ".join(
-            f"({c.render()})*{d!r}" for d, c in self.sorted_terms()
-        ) + ")"
-
-    def _require_ring(self, other: "TLMorphism"):
-        if self.ring != other.ring:
-            raise TagMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "TLMorphism") -> "TLMorphism":
-        self._require_ring(other)
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("size mismatch in addition")
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            acc = terms.get(d)
-            merged = c if acc is None else acc + c
-            if merged:
-                terms[d] = merged
-            else:
-                terms.pop(d, None)
-        return self._raw(self.source, self.target, self.ring, terms)
-
-    @classmethod
-    def _raw(cls, a, b, ring, terms):
-        out = cls.__new__(cls)
-        out.source, out.target, out.ring, out.terms = a, b, ring, terms
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TLMorphism":
-        if not isinstance(c, RingElement):
-            c = self.ring.from_fraction(c)
-        elif c.tag != self.ring:
-            raise TagMismatchError(f"{c.tag} vs {self.ring}")
-        terms = {}
-        if c:
-            for d, x in self.terms.items():
-                y = x * c
-                if y:
-                    terms[d] = y
-        return self._raw(self.source, self.target, self.ring, terms)
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __matmul__(self, other: "TLMorphism") -> "TLMorphism":
-        self._require_ring(other)
-        if other.target != self.source:
-            raise ValueError("size mismatch in composition")
-        acc: Dict[TLDiagram, RingElement] = {}
-        for fd, fc in other.terms.items():
-            for gd, gc in self.terms.items():
-                diagram, loops = _tl_compose(gd, fd)
-                coeff = fc * gc
-                if loops:
-                    coeff = coeff * _loop_pow(self.ring, loops)
-                old = acc.get(diagram)
-                merged = coeff if old is None else old + coeff
-                if merged:
-                    acc[diagram] = merged
-                else:
-                    acc.pop(diagram, None)
-        return self._raw(other.source, self.target, self.ring, acc)
-
-    def tensor(self, other: "TLMorphism") -> "TLMorphism":
-        self._require_ring(other)
-        acc: Dict[TLDiagram, RingElement] = {}
-        for fd, fc in self.terms.items():
-            for gd, gc in other.terms.items():
-                d = _tl_tensor(fd, gd)
-                coeff = fc * gc
-                old = acc.get(d)
-                acc[d] = coeff if old is None else old + coeff
-        return self._raw(
-            self.source + other.source, self.target + other.target, self.ring, acc
-        )
-
-    def dual(self) -> "TLMorphism":
-        a, b = self.source, self.target
-        terms = {}
-        for d, c in self.terms.items():
-            pairs = tuple(
-                tuple((p + b) if p < a else (p - a) for p in pr) for pr in d.pairs
-            )
-            terms[TLDiagram(b, a, pairs)] = c
-        return self._raw(b, a, self.ring, terms)
-
-    def trace(self) -> RingElement:
-        if self.source != self.target:
-            raise ValueError("trace requires an endomorphism")
-        total = self.ring.zero()
-        for d, c in self.terms.items():
-            total = total + c * _loop_pow(self.ring, _tl_closure_components(d))
-        return total
-
-    def specialize(self, value) -> "TLMorphism":
-        if self.ring.kind not in ("poly", "ratfun"):
-            raise TagMismatchError("specialize applies to poly/ratfun morphisms")
-        from .coeff import bound_q
-
-        tag = bound_q(Fraction(value), self.ring.var)
-        return TLMorphism(
-            self.source,
-            self.target,
-            tag,
-            {d: c.evaluate(value) for d, c in self.terms.items()},
-        )
-
-
-_LOOP_POWERS: Dict[tuple, RingElement] = {}
-
-
-def _loop_pow(ring: RingTag, exponent: int) -> RingElement:
-    key = (ring, exponent)
-    got = _LOOP_POWERS.get(key)
-    if got is None:
-        got = ring.parameter() ** exponent
-        _LOOP_POWERS[key] = got
-    return got
-
-
-# ---------------------------------------------------------------------------
-# generators and hom bases
-
-
-def tl_identity(n: int, ring: RingTag = RATFUN_D) -> TLMorphism:
-    d = TLDiagram(n, n, tuple((i, n + i) for i in range(n)))
-    return TLMorphism(n, n, ring, {d: ring.one()})
-
-
-def tl_e(i: int, n: int, ring: RingTag = RATFUN_D) -> TLMorphism:
-    """Cup-cap generator on strands i, i+1 (1-based, i < n)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"e_{i} undefined on {n} strands")
-    pairs = [(i - 1, i), (n + i - 1, n + i)]
-    pairs += [(k, n + k) for k in range(n) if k not in (i - 1, i)]
-    d = TLDiagram(n, n, tuple(pairs))
-    return TLMorphism(n, n, ring, {d: ring.one()})
+def _tl_dual(f: TLDiagram) -> TLDiagram:
+    return _raw_tl(f.top, f.bottom, _dual_parts(f))
 
 
 def noncrossing_matchings(a: int, b: int, cap: Optional[int] = None) -> List[TLDiagram]:
@@ -375,21 +165,58 @@ def noncrossing_matchings(a: int, b: int, cap: Optional[int] = None) -> List[TLD
     return out
 
 
+# ---------------------------------------------------------------------------
+# morphisms
+
+TL = DiagramKind(
+    name="tl",
+    var="d",
+    diagram=TLDiagram,
+    field="pairs",
+    doc_kind="tl",
+    compose=_tl_compose,
+    tensor=_tl_tensor,
+    dual=_tl_dual,
+    closure=_closure_parts,
+    basis=noncrossing_matchings,
+)
+
+
+class TLMorphism(LinComb):
+    """A finite linear combination of planar matchings a -> b."""
+
+    __slots__ = ()
+    kind = TL
+    # perfbench/tracer.py wraps this through vars(TLMorphism), so it is bound here
+    __matmul__ = LinComb.__matmul__
+
+
+# ---------------------------------------------------------------------------
+# generators and hom bases
+
+
+def tl_identity(n: int, ring: RingTag = RATFUN_D) -> TLMorphism:
+    d = TLDiagram(n, n, tuple((i, n + i) for i in range(n)))
+    return TLMorphism(n, n, ring, {d: ring.one()})
+
+
+def tl_e(i: int, n: int, ring: RingTag = RATFUN_D) -> TLMorphism:
+    """Cup-cap generator on strands i, i+1 (1-based, i < n)."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"e_{i} undefined on {n} strands")
+    pairs = [(i - 1, i), (n + i - 1, n + i)]
+    pairs += [(k, n + k) for k in range(n) if k not in (i - 1, i)]
+    d = TLDiagram(n, n, tuple(pairs))
+    return TLMorphism(n, n, ring, {d: ring.one()})
+
+
 def tl_hom_dimension(a: int, b: int, cap: Optional[int] = None) -> int:
     return len(noncrossing_matchings(a, b, cap))
 
 
-def tl_compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
-    """g after f."""
-    return g @ f
-
-
-def tl_tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    return f.tensor(g)
-
-
-def tl_trace(f: TLMorphism) -> RingElement:
-    return f.trace()
+tl_compose = compose
+tl_tensor = tensor
+tl_trace = trace
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +289,7 @@ def jw_negligible(n: int, ring: RingTag) -> bool:
     return not quantum_int(n + 1, ring)
 
 
-def tl_negligible(f: TLMorphism, cap: Optional[int] = None) -> bool:
-    """True iff trace(g . f) = 0 over the non-crossing basis of Hom(b, a)."""
-    for d in noncrossing_matchings(f.target, f.source, cap):
-        g = TLMorphism(f.target, f.source, f.ring, {d: f.ring.one()})
-        if (g @ f).trace():
-            return False
-    return True
+tl_negligible = negligible
 
 
 # ---------------------------------------------------------------------------
@@ -501,36 +322,8 @@ def tl_block(i: int, l: Optional[int]) -> str:
 # JSON interchange
 
 
-def tl_to_dict(m: TLMorphism) -> dict:
-    obj: dict = {"kind": "tl", "source": m.source, "target": m.target}
-    _tag_to_json(m.ring, obj)
-    obj["terms"] = [
-        {"pairs": [list(p) for p in d.pairs], "coeff": c.render()}
-        for d, c in m.sorted_terms()
-    ]
-    return obj
+tl_to_dict = to_dict
 
 
-def tl_from_dict(obj: dict) -> TLMorphism:
-    if not isinstance(obj, dict):
-        raise SchemaError("morphism document must be an object", "")
-    if obj.get("kind") != "tl":
-        raise SchemaError('expected "kind": "tl"', "/kind")
-    for field in ("source", "target", "terms"):
-        if field not in obj:
-            raise SchemaError(f"missing field {field!r}", f"/{field}")
-    a, b = obj["source"], obj["target"]
-    ring = _tag_from_json(obj, "d")
-    terms: Dict[TLDiagram, RingElement] = {}
-    for i, item in enumerate(obj["terms"]):
-        where = f"/terms/{i}"
-        if not isinstance(item, dict) or "pairs" not in item or "coeff" not in item:
-            raise SchemaError("term requires pairs and coeff", where)
-        try:
-            d = TLDiagram(a, b, tuple(tuple(p) for p in item["pairs"]))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"bad pairs: {exc}", f"{where}/pairs") from exc
-        coeff = parse_coefficient(item["coeff"], ring)
-        old = terms.get(d)
-        terms[d] = coeff if old is None else old + coeff
-    return TLMorphism(a, b, ring, terms)
+def tl_from_dict(obj) -> TLMorphism:
+    return from_dict(obj, TLMorphism)

@@ -210,3 +210,73 @@ class TestDeterminism:
         assert out.read_text() == canonical
         blocks = json.loads(canonical)["terms"][0]["blocks"]
         assert blocks == [[0], [1]]
+
+
+def partition_doc(**fields):
+    doc = {"source": 1, "target": 1, "ring": "Qt", "terms": [{"blocks": [[0, 1]], "coeff": "1"}]}
+    return {**doc, **fields}
+
+
+def tl_doc(**fields):
+    doc = {"kind": "tl", "source": 1, "target": 1, "ring": "Qratfun",
+           "terms": [{"pairs": [[0, 1]], "coeff": "1"}]}
+    return {**doc, **fields}
+
+
+BAD_SHAPES = {
+    "coeff-number": lambda make, field: make(terms=[{field: [[0, 1]], "coeff": 3}]),
+    "terms-number": lambda make, field: make(terms=5),
+    "minpoly-number": lambda make, field: make(ring="Qdelta", minpoly=3),
+    "t-list": lambda make, field: make(ring="Q", t=[1]),
+    # without terms no diagram is built, so only the reader's own checks catch these
+    "source-string": lambda make, field: make(source="a", terms=[]),
+    "source-negative": lambda make, field: make(source=-1, terms=[]),
+    "source-true": lambda make, field: make(source=True),
+    "target-true": lambda make, field: make(target=True),
+    "point-true": lambda make, field: make(terms=[{field: [[0, True]], "coeff": "1"}]),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("kind", ["partition", "tl"])
+    @pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+    def test_bad_shape_is_two(self, capsys, tmp_path, kind, shape):
+        make, field = (tl_doc, "pairs") if kind == "tl" else (partition_doc, "blocks")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(BAD_SHAPES[shape](make, field)))
+        code, out, err = run(capsys, "dual", "-f", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_kind_is_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(partition_doc(kind="brauer")))
+        code, _, err = run(capsys, "trace", "-f", str(bad))
+        assert code == 2 and "kind" in err
+
+
+class TestMixedKinds:
+    @pytest.fixture
+    def docs(self, tmp_path):
+        ring = {"ring": "Qdelta", "minpoly": "d^2 - 2"}
+        p, t = tmp_path / "p.json", tmp_path / "t.json"
+        p.write_text(json.dumps(partition_doc(**ring)))
+        t.write_text(json.dumps(tl_doc(**ring)))
+        return str(p), str(t)
+
+    @pytest.mark.parametrize("verb", [("compose",), ("tensor",), ("tl", "compose")])
+    def test_mixed_kinds_are_two(self, capsys, docs, verb):
+        p, t = docs
+        for f, g in ((t, p), (p, t)):
+            code, out, err = run(capsys, *verb, "-f", f, "-g", g)
+            assert code == 2 and out == ""
+            assert "partition vs tl" in err or "tl vs partition" in err
+
+    def test_same_kind_composes(self, capsys, docs):
+        _, t = docs
+        assert run(capsys, "tl", "compose", "-f", t, "-g", t)[0] == 0
+
+    def test_tl_compose_without_inputs_is_two(self, capsys):
+        assert run(capsys, "tl", "compose")[0] == 2
+        assert run(capsys, "tl", "trace")[0] == 2

@@ -182,6 +182,12 @@ class TestParser:
         with pytest.raises(CoeffParseError):
             parse_coefficient("2 2", QQ)
 
+    @pytest.mark.parametrize("text", ["²", "t^²", "1/²", "٣"])
+    def test_non_ascii_digits_rejected(self, text):
+        # str.isdigit accepts these, but int() rejects or reinterprets them
+        with pytest.raises(CoeffParseError):
+            parse_coefficient(text, POLY_T)
+
     def test_leading_minus(self):
         assert parse_coefficient("-t + 1", POLY_T) == 1 - POLY_T.variable()
 

@@ -186,9 +186,6 @@ class TestHomBasisGram:
     def test_gram_empty(self):
         assert gram_matrix(0, 0) == [[POLY_T.one()]]
 
-    def test_gram_workers_agree(self):
-        assert gram_matrix(1, 1, workers=2) == gram_matrix(1, 1)
-
 
 class TestNegligible:
     def test_examples(self):
