@@ -225,7 +225,6 @@ def tl_doc(**fields):
 
 BAD_SHAPES = {
     "coeff-number": lambda make, field: make(terms=[{field: [[0, 1]], "coeff": 3}]),
-    "terms-number": lambda make, field: make(terms=5),
     "minpoly-number": lambda make, field: make(ring="Qdelta", minpoly=3),
     "t-list": lambda make, field: make(ring="Q", t=[1]),
     # without terms no diagram is built, so only the reader's own checks catch these
@@ -248,6 +247,14 @@ class TestSchema:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["partition", "tl"])
+    def test_terms_not_a_list_raises_type_error(self, capsys, tmp_path, kind):
+        # kept a TypeError: perfbench's test of a raising operation relies on it
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps((tl_doc if kind == "tl" else partition_doc)(terms=5)))
+        with pytest.raises(TypeError, match="terms must be a list, not int"):
+            run(capsys, "dual", "-f", str(bad))
 
     def test_unknown_kind_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
