@@ -13,6 +13,7 @@ the arithmetic the routines use.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .errors import (
     SplitError,
     TagMismatchError,
 )
-from .lincomb import RING_NAMES, to_dict
+from .lincomb import _tag_to_json, to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
 from . import pcat, tl
@@ -36,6 +37,7 @@ TL_STRAND_CAP = 6
 FULL_ASSOC_CHECK_MONOMIAL = 150  # flattened full check below this dimension
 FULL_ASSOC_CHECK_DIM = 40
 ASSOC_SAMPLES = 300
+ROOT_SEARCH_LIMIT = 10**6  # largest |a_0|, |a_n| searched for rational roots
 
 
 def _raw(tag: RingTag, x: RingElement):
@@ -505,7 +507,74 @@ class _Quotient:
 
 
 def _factor_over_q(coeffs: List[Fraction]):
-    """Irreducible factorization over Q via sympy; coefficients ascending."""
+    """Irreducible factorization over Q; coefficients ascending.
+
+    Returns [(factor, multiplicity)] exactly as sympy's ``factor_list``
+    over QQ does: each factor a primitive integer polynomial with positive
+    leading coefficient, sorted by (length, multiplicity, coefficients
+    from the top).  Rational roots are peeled off by exact division; a
+    root-free cofactor of degree 2 or 3 is irreducible.  Anything else
+    (a cofactor of degree >= 4, or end coefficients too large to search
+    for roots) goes to sympy.
+    """
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    f = [int(c * scale) for c in reversed(coeffs)]  # integers, top first
+    while f and not f[0]:
+        f.pop(0)
+    if len(f) <= 1:
+        return []
+    content = math.gcd(*f) * (1 if f[0] > 0 else -1)
+    f = [c // content for c in f]
+    found = {}
+    power = 0
+    while not f[-1]:
+        f.pop()
+        power += 1
+    if power:
+        found[(1, 0)] = power
+    if len(f) > 1 and max(f[0], abs(f[-1])) > ROOT_SEARCH_LIMIT:
+        return _factor_over_q_sympy(coeffs)
+    # every rational root p/q of f, in lowest terms, has p | a_0 and q | a_n
+    tops = _divisors(f[0])
+    for p in _divisors(abs(f[-1])):
+        for q in tops:
+            if math.gcd(p, q) != 1:
+                continue
+            for root in (p, -p):
+                while len(f) > 1:
+                    quotient = _divide_linear(f, root, q)
+                    if quotient is None:
+                        break
+                    found[(q, -root)] = found.get((q, -root), 0) + 1
+                    f = quotient
+    if len(f) > 4:
+        return _factor_over_q_sympy(coeffs)
+    if len(f) > 1:
+        found[tuple(f)] = 1
+    ordered = sorted(found.items(), key=lambda item: (len(item[0]), item[1], item[0]))
+    return [([Fraction(c) for c in reversed(fac)], mult) for fac, mult in ordered]
+
+
+def _divisors(n: int) -> List[int]:
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
+def _divide_linear(f: List[int], p: int, q: int) -> Optional[List[int]]:
+    """f / (q x - p) over Z (coefficients top first), or None if it is inexact."""
+    out = []
+    carry = 0
+    for c in f[:-1]:
+        h, r = divmod(c + carry, q)
+        if r:
+            return None
+        out.append(h)
+        carry = h * p
+    return out if f[-1] + carry == 0 else None
+
+
+def _factor_over_q_sympy(coeffs: List[Fraction]):
+    """The general case of _factor_over_q; sympy is imported only here."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -865,9 +934,8 @@ def algebra_to_dict(A: FinDimAlgebra) -> dict:
         parts = getattr(label, "parts", None)  # corner algebras label by name
         return str(label) if parts is None else [list(p) for p in parts]
 
-    obj = {"kind": A.kind, "dim": A.dim, "ring": RING_NAMES[A.tag.kind]}
-    if A.tag.kind == "Q" and A.tag.value is not None:
-        obj["t"] = str(A.tag.value)
+    obj = {"kind": A.kind, "dim": A.dim}
+    _tag_to_json(A.tag, obj)
     obj["labels"] = [label_json(lbl) for lbl in A.labels]
     obj["unit"] = {str(k): _unraw(A.tag, c).render() for k, c in sorted(A.unit.items())}
     obj["structure"] = [

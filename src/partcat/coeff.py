@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
+    CapExceededError,
     CoeffParseError,
     DivisionByZeroError,
     MissingParameterError,
@@ -30,6 +31,11 @@ from .errors import (
 )
 
 Coeffs = tuple  # dense polynomial coefficients, constant term first
+
+# largest '^' exponent times the base's degree or coefficient bit height
+# (see _growth) the parser will expand; golden outputs and benchmark
+# inputs stay below 10
+EXPONENT_CAP = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +586,31 @@ def _parse_term(toks: _Tokens, tag: RingTag) -> RingElement:
 def _parse_factor(toks: _Tokens, tag: RingTag) -> RingElement:
     value = _parse_atom(toks, tag)
     if toks.take_symbol("^"):
+        pos = toks.pos
         exponent = toks.take_uint()
+        if exponent * _growth(value) > EXPONENT_CAP:
+            raise CapExceededError(
+                f"power ^{exponent} exceeds the exponent cap {EXPONENT_CAP} (at position {pos})"
+            )
         value = value**exponent
     return value
+
+
+def _growth(value: RingElement) -> int:
+    """How fast powers of value grow: the larger of its degree and the bit
+    height of its rational coefficients, at least 1."""
+    kind, data = value.tag.kind, value.data
+    if kind == "Q":
+        coeffs, degree = (data,), 0
+    elif kind == "ratfun":
+        coeffs, degree = data[0] + data[1], max(len(data[0]), len(data[1])) - 1
+    else:  # poly, or numberfield, whose degree stays below the modulus's
+        coeffs, degree = data, len(data) - 1 if kind == "poly" else 0
+    height = max(
+        (max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs),
+        default=0,
+    )
+    return max(1, degree, height)
 
 
 def _parse_atom(toks: _Tokens, tag: RingTag) -> RingElement:

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partcat import pcat, tl
+from partcat import algkit, pcat, tl
 from partcat.algkit import (
+    _factor_over_q,
     FinDimAlgebra,
     algebra_to_dict,
     corner_algebra,
@@ -16,7 +23,7 @@ from partcat.algkit import (
     radical_morphisms,
     split_idempotent,
 )
-from partcat.coeff import RATFUN_D, bound_q
+from partcat.coeff import RATFUN_D, bound_q, chebyshev_minpoly, number_field
 from partcat.errors import CapExceededError
 from partcat.linalg import rank
 from partcat.pcat import PartitionDiagram, diagram_morphism, identity, is_negligible
@@ -203,6 +210,12 @@ class TestJsonDump:
         e_index = doc["labels"].index([[0], [1]])
         assert doc["structure"][e_index][e_index] == [[e_index, "1"]]
 
+    def test_number_field_dump_names_its_field(self):
+        ring = number_field(chebyshev_minpoly(5), "d")
+        doc = algebra_to_dict(end_algebra_tl(2, ring))
+        assert doc["ring"] == "Qdelta"
+        assert number_field(doc["minpoly"], "d") == ring
+
     def test_decomposition_dump(self):
         A = end_algebra_partition(1, 1)
         dec = split_idempotent(A, A.unit)
@@ -325,3 +338,116 @@ class TestBlockEquivalenceProfile:
 
         assert p_profile == tl_profile
         assert p_profile == [(1, 1), (1, 0), (1, 0), (2, 0)]
+
+
+def sympy_factor_list(coeffs):
+    """Reference: sympy's factor_list over QQ, coefficients ascending."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * x**i
+        for i, c in enumerate(coeffs)
+    )
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    out = []
+    for fac, mult in factors:
+        cs = [Fraction(0)] * (fac.degree() + 1)
+        for monom, coef in zip(fac.monoms(), fac.coeffs()):
+            cs[monom[0]] = Fraction(coef.p, coef.q)
+        out.append((cs, mult))
+    return out
+
+
+def poly_product(factors, scale=Fraction(1)):
+    """Ascending Fraction coefficients of scale * prod f^m over (f, m)."""
+    out = [scale]
+    for f, mult in factors:
+        for _ in range(mult):
+            prod = [Fraction(0)] * (len(out) + len(f) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(f):
+                    prod[i + j] += a * b
+            out = prod
+    return out
+
+
+integer_factors = st.integers(1, 4).flatmap(
+    lambda deg: st.tuples(
+        st.lists(st.integers(-12, 12), min_size=deg, max_size=deg),
+        st.integers(-6, 6).filter(bool),
+    ).map(lambda t: [Fraction(c) for c in t[0]] + [Fraction(t[1])])
+)
+
+
+class TestFactorOverQ:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        factors=st.lists(st.tuples(integer_factors, st.integers(1, 3)), min_size=1, max_size=4),
+        scale=st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(bool),
+    )
+    def test_matches_sympy(self, factors, scale):
+        coeffs = poly_product(factors, scale)
+        assert _factor_over_q(coeffs) == sympy_factor_list(coeffs)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [([1, 0, 0, 0, 1], 1)],  # x^4 + 1
+            [([-2, 0, 1], 1), ([-3, 0, 1], 1)],  # (x^2 - 2)(x^2 - 3)
+            [([1, 0, 1], 2)],  # (x^2 + 1)^2
+            [([-1, -1, 0, 0, 0, 1], 1)],  # x^5 - x - 1
+            [([-(10**15), 1], 1), ([-1, 1], 1)],  # end coefficient past the search limit
+        ],
+        ids=["x4+1", "(x2-2)(x2-3)", "(x2+1)^2", "x5-x-1", "big-root"],
+    )
+    def test_fallback_cases(self, factors, monkeypatch):
+        calls = []
+        fallback = algkit._factor_over_q_sympy
+        monkeypatch.setattr(
+            algkit, "_factor_over_q_sympy", lambda c: calls.append(c) or fallback(c)
+        )
+        coeffs = poly_product([([Fraction(c) for c in f], m) for f, m in factors])
+        assert _factor_over_q(coeffs) == sympy_factor_list(coeffs)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [([0, 1], 3), ([-1, 2], 2), ([1, 0, 1], 1)],  # x^3 (2x - 1)^2 (x^2 + 1)
+            [([-2, 0, 0, 1], 1), ([3, 1], 1)],  # irreducible cubic cofactor
+            [([1, 1], 1), ([-1, 1], 1), ([-1, 3], 2)],  # ties broken on coefficients
+        ],
+        ids=["power-of-x", "cubic", "ties"],
+    )
+    def test_without_sympy(self, factors, monkeypatch):
+        monkeypatch.setattr(algkit, "_factor_over_q_sympy", None)
+        coeffs = poly_product([([Fraction(c) for c in f], m) for f, m in factors], Fraction(-3, 7))
+        assert _factor_over_q(coeffs) == sympy_factor_list(coeffs)
+
+
+SPLITS_WITHOUT_SYMPY = """
+import contextlib, io, sys
+from partcat import cli
+from partcat.algkit import end_algebra_tl, split_idempotent
+from partcat.coeff import bound_q
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["decompose", "--n", "2", "--d", "1", "--json"]) == 0
+for d in (0, 1, 2):
+    A = end_algebra_tl(4, bound_q(d, "d"))
+    split_idempotent(A, A.unit)
+print("sympy" in sys.modules)
+"""
+
+
+def test_splitting_does_not_import_sympy():
+    src = str(Path(algkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SPLITS_WITHOUT_SYMPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -60,6 +60,20 @@ class TestExitCodes:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("coeff", ["t^1000000", "2^1000000"])
+    def test_exponent_past_the_cap_is_three(self, capsys, tmp_path, coeff):
+        doc = {
+            "source": 1,
+            "target": 1,
+            "ring": "Qt",
+            "terms": [{"blocks": [[0], [1]], "coeff": coeff}],
+        }
+        big = tmp_path / "bigpower.json"
+        big.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "trace", "-f", str(big))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "exponent cap" in err
+
     def test_failed_verification_maps_to_one(self, capsys):
         report = VerificationReport("synthetic", 1)
         report.add("broken", identity(1), identity(1).scale(2))

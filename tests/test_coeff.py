@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partcat.coeff import (
+    EXPONENT_CAP,
     POLY_T,
     QQ,
     RATFUN_T,
@@ -14,6 +15,7 @@ from partcat.coeff import (
     parse_coefficient,
 )
 from partcat.errors import (
+    CapExceededError,
     CoeffParseError,
     DivisionByZeroError,
     MissingParameterError,
@@ -194,6 +196,41 @@ class TestParser:
     def test_ratfun_division(self):
         got = parse_coefficient("(t^2 - 1)/(t - 1)", RATFUN_T)
         assert got == RATFUN_T.variable() + 1
+
+
+class TestExponentCap:
+    def test_powers_up_to_the_cap(self):
+        t = POLY_T.variable()
+        assert parse_coefficient(f"t^{EXPONENT_CAP}", POLY_T) == t**EXPONENT_CAP
+        assert parse_coefficient(f"2^{EXPONENT_CAP}", QQ) == QQ.from_fraction(2**EXPONENT_CAP)
+
+    @pytest.mark.parametrize(
+        "text, tag",
+        [
+            (f"t^{EXPONENT_CAP + 1}", POLY_T),
+            ("t^1000000", POLY_T),
+            (f"2^{EXPONENT_CAP + 1}", QQ),
+            (f"(t + 1)^{EXPONENT_CAP + 1}", RATFUN_T),
+            (f"d^{EXPONENT_CAP + 1}", NF_SQRT2),
+        ],
+    )
+    def test_exponent_past_the_cap(self, text, tag):
+        with pytest.raises(CapExceededError, match="exponent cap"):
+            parse_coefficient(text, tag)
+
+    @pytest.mark.parametrize(
+        "text, tag",
+        [
+            ("(t^100)^100", POLY_T),
+            ("((t + 1)^10)^101", RATFUN_T),
+            ("((2^1000)^1000)^1000", QQ),
+            ("(2^1000)^1000", POLY_T),
+            ("(1/5*d)^600", NF_SQRT2),
+        ],
+    )
+    def test_nested_powers_are_capped_by_size(self, text, tag):
+        with pytest.raises(CapExceededError, match="exponent cap"):
+            parse_coefficient(text, tag)
 
 
 class TestChebyshevMinpoly:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from partcat import pcat, tl
 from partcat.coeff import chebyshev_minpoly, number_field
-from partcat.errors import CoeffParseError, SchemaError, TagMismatchError
+from partcat.errors import CapExceededError, CoeffParseError, SchemaError, TagMismatchError
 from partcat.lincomb import LinComb, from_dict
 
 QDELTA = number_field(chebyshev_minpoly(5), "d")
@@ -112,7 +112,7 @@ json_values = st.recursive(
 def test_reader_raises_only_schema_or_parse_errors(kind, field, value):
     try:
         m = from_dict(put(base_doc(kind), field, value))
-    except (SchemaError, CoeffParseError):
+    except (SchemaError, CoeffParseError, CapExceededError):
         return
     except TypeError:
         # the one shape kept as a TypeError (see the reader)
