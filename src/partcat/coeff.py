@@ -534,7 +534,10 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             raise CoeffParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than Python's integer string limit
+            raise CoeffParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
 
 def parse_coefficient(text: str, tag: RingTag) -> RingElement:

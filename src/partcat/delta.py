@@ -21,6 +21,7 @@ from .errors import CapExceededError
 from .pcat import (
     Morphism,
     PartitionDiagram,
+    _raw,
     braiding,
     coev,
     diagram_morphism,
@@ -92,30 +93,15 @@ def x_n(n: int, ring: RingTag = POLY_T) -> Morphism:
 def _theta_diagram(d: PartitionDiagram, j: int, add_source: bool, add_target: bool) -> PartitionDiagram:
     """Insert a fresh strand-(n+1) point into the part containing strand j.
 
-    ``add_source`` inserts a new bottom point into the part of bottom
-    point j-1; ``add_target`` a new top point into the part of top point
-    j-1.  Both may be combined (the endomorphism variant).
+    ``add_source`` appends a new bottom point to the part of bottom point
+    j-1; ``add_target`` a new top point to the part of top point j-1.  Both
+    may be combined (the endomorphism variant).  Each new point repeats an
+    earlier point's block, so the word stays restricted-growth.
     """
-    a, b = d.bottom, d.top
-    new_a = a + (1 if add_source else 0)
-    new_b = b + (1 if add_target else 0)
-
-    def relabel(p: int) -> int:
-        return p if p < a else p + (new_a - a)
-
-    blocks = [list(map(relabel, blk)) for blk in d.blocks]
-
-    def locate(point: int) -> int:
-        for idx, blk in enumerate(blocks):
-            if point in blk:
-                return idx
-        raise ValueError("point not found")
-
-    if add_source:
-        blocks[locate(j - 1)].append(a)  # new bottom point gets label a
-    if add_target:
-        blocks[locate(new_a + (j - 1))].append(new_a + b)
-    return PartitionDiagram(new_a, new_b, tuple(tuple(blk) for blk in blocks))
+    a, w = d.bottom, d.word
+    bottom = w[:a] + (w[j - 1],) * add_source
+    top = w[a:] + (w[a + j - 1],) * add_target
+    return _raw(PartitionDiagram, len(bottom), len(top), bottom + top, d.nblocks)
 
 
 def theta(f: Morphism, j: int, variant: str) -> Morphism:

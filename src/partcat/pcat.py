@@ -1,7 +1,10 @@
 """Partition diagrams and the symmetric tensor category they span.
 
 A diagram in Hom([A_a], [A_b]) is a set partition of a+b points, encoded
-0..a-1 for the bottom (source) row and a..a+b-1 for the top (target) row.
+0..a-1 for the bottom (source) row and a..a+b-1 for the top (target) row,
+and stored as its restricted-growth word (block index per point).  The
+word kernels here (compose, tensor, dual, trace closure) serve the
+Temperley-Lieb kind too.
 Morphisms are finite linear combinations of diagrams over one of the exact
 coefficient rings (the shared core in ``lincomb``); composition multiplies
 by parameter^l where l counts the interior parts of the stacked join.
@@ -9,9 +12,8 @@ by parameter^l where l counts the interior parts of the stacked join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .coeff import POLY_T, RingElement, RingTag
 from .errors import CapExceededError
@@ -25,131 +27,170 @@ DEFAULT_CAP = 10
 # diagrams
 
 
-@dataclass(frozen=True)
-class PartitionDiagram:
-    """A set partition of a+b labelled points, as a morphism [A_a] -> [A_b].
+class _Diagram:
+    """A set partition of bottom+top labelled points, of either diagram kind.
 
-    Blocks are stored canonically: each block ascending, blocks ordered by
-    their minimum.  Equality and hashing are structural.
+    Stored as its restricted-growth word: ``word[p]`` is the index of point
+    p's block, blocks numbered by first occurrence, and ``nblocks`` counts
+    them.  Equality and the hash (computed once) use ``(bottom, word)``;
+    the canonical ``parts`` (each ascending, ordered by minimum) are derived
+    on first use.  Diagrams are values: never assign to one.
     """
 
-    bottom: int
-    top: int
-    blocks: tuple
+    __slots__ = ("bottom", "top", "word", "nblocks", "_hash", "_parts")
+    _cover_error = "parts must partition the point set"
 
-    def __post_init__(self):
-        if self.bottom < 0 or self.top < 0:
+    def __init__(self, bottom: int, top: int, parts):
+        if bottom < 0 or top < 0:
             raise ValueError("negative diagram sizes")
-        canon = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canon)
-        seen = []
-        for block in canon:
-            if not block:
-                raise ValueError("empty block")
-            seen.extend(block)
-        if sorted(seen) != list(range(self.bottom + self.top)):
-            raise ValueError("blocks must partition the point set")
+        canon = sorted([tuple(sorted(part)) for part in parts])
+        if not all(canon):
+            raise ValueError("empty block")
+        if sorted([p for part in canon for p in part]) != list(range(bottom + top)):
+            raise ValueError(self._cover_error)
+        word = [0] * (bottom + top)
+        for k, part in enumerate(canon):
+            for p in part:
+                word[p] = k
+        self.bottom, self.top, self.word, self.nblocks = bottom, top, tuple(word), len(canon)
+        self._hash = hash((bottom, self.word))
+        self._parts = tuple(canon)
 
-    @property
-    def points(self) -> int:
-        return self.bottom + self.top
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.bottom == other.bottom and self.word == other.word
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def parts(self) -> tuple:
-        return self.blocks
+        if self._parts is None:
+            self._parts = _blocks_of(self.word, self.nblocks)
+        return self._parts
+
+
+_new = object.__new__
+
+
+def _raw(cls, bottom: int, top: int, word: tuple, nblocks: int):
+    """A diagram of type ``cls`` from a restricted-growth word, not re-validated."""
+    d = _new(cls)
+    d.bottom, d.top, d.word, d.nblocks = bottom, top, word, nblocks
+    d._hash = hash((bottom, word))
+    d._parts = None
+    return d
+
+
+def _blocks_of(word: tuple, nblocks: int) -> tuple:
+    """The blocks of a restricted-growth word, ascending and ordered by minimum."""
+    blocks = [[] for _ in range(nblocks)]
+    for p, k in enumerate(word):
+        blocks[k].append(p)
+    return tuple(map(tuple, blocks))
+
+
+class PartitionDiagram(_Diagram):
+    """A set partition of a+b labelled points, as a morphism [A_a] -> [A_b].
+
+    ``blocks`` is the canonical form: each block ascending, blocks ordered
+    by their minimum.
+    """
+
+    __slots__ = ()
+    _cover_error = "blocks must partition the point set"
+    blocks = _Diagram.parts
 
     def __repr__(self):
         body = ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
         return f"Diagram({self.bottom}->{self.top}; {body})"
 
 
-def _raw_diagram(bottom: int, top: int, blocks) -> PartitionDiagram:
-    """Construct without re-validation; blocks must have sorted elements."""
-    d = object.__new__(PartitionDiagram)
-    object.__setattr__(d, "bottom", bottom)
-    object.__setattr__(d, "top", top)
-    object.__setattr__(d, "blocks", tuple(sorted(blocks, key=lambda b: b[0])))
-    return d
+# ---------------------------------------------------------------------------
+# kernels over words, shared with the Temperley-Lieb kind (each returns
+# diagrams of its arguments' type)
 
 
-def _uf_find(parent: list, v: int) -> int:
-    while parent[v] != v:
+def _relabel(labels) -> tuple:
+    """Renumber labels by first occurrence: (restricted-growth word, block count)."""
+    first: dict = {}
+    number = first.setdefault
+    return tuple([number(x, len(first)) for x in labels]), len(first)
+
+
+def _join(parent: list, pairs) -> int:
+    """Union each pair of labels; returns how many unions merged two classes.
+
+    Every root is the least label of its class, so every pointer goes to a
+    smaller label and one ascending pass of ``parent[v] = parent[parent[v]]``
+    afterwards maps each label to its root.
+    """
+    merges = 0
+    for x, y in pairs:
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            if x < y:
+                parent[y] = x
+            else:
+                parent[x] = y
+            merges += 1
+    return merges
+
+
+def _compose(g, f):
+    """Stack g over f; returns (g after f, the number of closed components).
+
+    Union-find runs over the blocks, f's numbered 0..nf-1 and g's after
+    them, joined through the middle points.  Renumbering the outer points'
+    classes by first occurrence gives the canonical word; the classes that
+    touch no outer point are the closed components.
+    """
+    a, b, nf = f.bottom, f.top, f.nblocks
+    fw, gw = f.word, g.word
+    size = nf + g.nblocks
+    parent = list(range(size))
+    merges = _join(parent, zip(fw[a:], [nf + y for y in gw[:b]]))
+    for v in range(size):
         parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
+    # _relabel fused with the root lookup: a separate pass costs this hot
+    # kernel about a tenth of its time
+    first: dict = {}
+    number = first.setdefault
+    word = [number(parent[x], len(first)) for x in fw[:a]]
+    word += [number(parent[nf + y], len(first)) for y in gw[b:]]
+    nblocks = len(first)
+    return _raw(type(f), a, g.top, tuple(word), nblocks), size - merges - nblocks
 
 
-def _uf_union(parent: list, a: int, b: int):
-    ra, rb = _uf_find(parent, a), _uf_find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
+def _tensor(f, g):
+    """f (x) g: g's points go right of f's in both rows."""
+    a, c, nf = f.bottom, g.bottom, f.nblocks
+    fw, gw = f.word, [nf + x for x in g.word]
+    word, nblocks = _relabel([*fw[:a], *gw[:c], *fw[a:], *gw[c:]])
+    return _raw(type(f), a + c, f.top + g.top, word, nblocks)
 
 
-@lru_cache(maxsize=1 << 18)
-def _compose_diagrams(g: PartitionDiagram, f: PartitionDiagram):
-    """Stack g over f; returns (resulting diagram, interior part count)."""
-    a, b, c = f.bottom, f.top, g.top
-    parent = list(range(a + b + c))
-    for block in f.blocks:
-        first = block[0]
-        for p in block[1:]:
-            _uf_union(parent, first, p)
-    for block in g.blocks:
-        first = a + block[0]
-        for p in block[1:]:
-            _uf_union(parent, first, a + p)
-    classes: Dict[int, list] = {}
-    for v in range(a + b + c):
-        classes.setdefault(_uf_find(parent, v), []).append(v)
-    interior = 0
-    out_blocks = []
-    for members in classes.values():
-        outer = [v if v < a else v - b for v in members if v < a or v >= a + b]
-        if outer:
-            out_blocks.append(tuple(outer))
-        else:
-            interior += 1
-    # members come out ascending, and the outer relabelling is monotone
-    return _raw_diagram(a, c, out_blocks), interior
+def _dual(f):
+    """The flipped diagram: the rows trade places."""
+    a, w = f.bottom, f.word
+    word, nblocks = _relabel(w[a:] + w[:a])
+    return _raw(type(f), f.top, a, word, nblocks)
 
 
-def _tensor_parts(f, g) -> list:
-    """The parts of f (x) g: g's points go right of f's in both rows."""
-    a, b, c = f.bottom, f.top, g.bottom
-    parts = [tuple(p if p < a else p + c for p in part) for part in f.parts]
-    parts += [tuple(a + p if p < c else a + b + p for p in part) for part in g.parts]
-    # both shifts are monotone, so the points of a part stay sorted
-    return parts
-
-
-def _dual_parts(f) -> list:
-    """The parts of the flipped diagram: the rows trade places."""
-    a, b = f.bottom, f.top
-    return [tuple(sorted((p + b) if p < a else (p - a) for p in part)) for part in f.parts]
-
-
-@lru_cache(maxsize=1 << 16)
-def _tensor_diagrams(f: PartitionDiagram, g: PartitionDiagram) -> PartitionDiagram:
-    return _raw_diagram(f.bottom + g.bottom, f.top + g.top, _tensor_parts(f, g))
-
-
-@lru_cache(maxsize=1 << 16)
-def _dual_diagram(f: PartitionDiagram) -> PartitionDiagram:
-    return _raw_diagram(f.top, f.bottom, _dual_parts(f))
+_compose_diagrams = lru_cache(maxsize=1 << 18)(_compose)
+_tensor_diagrams = lru_cache(maxsize=1 << 16)(_tensor)
+_dual_diagram = lru_cache(maxsize=1 << 16)(_dual)
 
 
 @lru_cache(maxsize=1 << 16)
 def _closure_parts(f) -> int:
     """Components of the trace closure of an endomorphism diagram of any kind."""
-    n = f.bottom
-    parent = list(range(2 * n))
-    for part in f.parts:
-        first = part[0]
-        for p in part[1:]:
-            _uf_union(parent, first, p)
-    for i in range(n):
-        _uf_union(parent, i, n + i)
-    return len({_uf_find(parent, v) for v in range(2 * n)}) if n else 0
+    n, w = f.bottom, f.word
+    return f.nblocks - _join(list(range(f.nblocks)), zip(w[:n], w[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +200,7 @@ def _closure_parts(f) -> int:
 def _hom_diagrams(a: int, b: int, cap: Optional[int] = None) -> Iterator[PartitionDiagram]:
     """The diagrams of Hom([A_a], [A_b]), lazily, after the cap check."""
     _check_cap(a + b, cap)
-    # set_partitions yields the canonical encoding, so nothing to re-validate
-    return (_raw_diagram(a, b, blocks) for blocks in set_partitions(a + b))
+    return (_raw(PartitionDiagram, a, b, word, k) for word, k in _rg_words(a + b))
 
 
 PARTITION = DiagramKind(
@@ -254,29 +294,31 @@ def dim(n: int, ring: RingTag = POLY_T) -> RingElement:
 # dense enumeration: hom bases, Gram matrices, negligibility
 
 
+def _rg_words(n: int) -> Iterator[tuple]:
+    """(word, block count) for every restricted-growth word of length n, in
+    lexicographic order: word[0] = 0 and word[i] <= 1 + max(word[:i]).
+
+    The prefixes one short of n are listed eagerly; the last point lazily.
+    """
+    if n == 0:
+        yield (), 0
+        return
+    prefixes = [((), 0)]
+    for _ in range(n - 1):
+        prefixes = [(w + (v,), k + (v == k)) for w, k in prefixes for v in range(k + 1)]
+    for w, k in prefixes:
+        for v in range(k + 1):
+            yield w + (v,), k + (v == k)
+
+
 def set_partitions(n: int) -> Iterator[tuple]:
     """All set partitions of range(n) in restricted-growth order.
 
     Blocks come out sorted by minimum element, matching the canonical
     diagram encoding.
     """
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int):
-        if i == n:
-            blocks: Dict[int, list] = {}
-            for p, b in enumerate(rgs):
-                blocks.setdefault(b, []).append(p)
-            yield tuple(tuple(blocks[k]) for k in sorted(blocks))
-            return
-        for v in range(maxval + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(maxval, v))
-
-    yield from rec(1, 0)
+    for word, k in _rg_words(n):
+        yield _blocks_of(word, k)
 
 
 def _check_cap(points: int, cap: Optional[int]):

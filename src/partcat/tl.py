@@ -9,129 +9,61 @@ over the shared core in ``lincomb``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .coeff import RATFUN_D, RingElement, RingTag
 from .errors import CapExceededError, ProjectorUndefinedError
 from .lincomb import DiagramKind, LinComb, compose, from_dict, negligible, tensor, to_dict, trace
-from .pcat import _closure_parts, _dual_parts, _tensor_parts
+from .pcat import _closure_parts, _compose, _Diagram, _dual, _tensor
 
 DEFAULT_STRAND_CAP = 16
 
 
-@dataclass(frozen=True)
-class TLDiagram:
-    """A non-crossing perfect matching of a+b boundary points."""
+class TLDiagram(_Diagram):
+    """A non-crossing perfect matching of a+b boundary points.
 
-    bottom: int
-    top: int
-    pairs: tuple
+    Stored like a partition diagram, as the restricted-growth word of its
+    pairs; ``pairs`` is the canonical form (each pair ascending, ordered by
+    minimum).
+    """
 
-    def __post_init__(self):
-        canon = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "pairs", canon)
-        n = self.bottom + self.top
-        if n % 2:
+    __slots__ = ()
+    _cover_error = "pairs must perfectly match the point set"
+    pairs = _Diagram.parts
+
+    def __init__(self, bottom: int, top: int, pairs):
+        if (bottom + top) % 2:
             raise ValueError("odd number of boundary points")
-        seen = sorted(q for p in canon for q in p)
-        if seen != list(range(n)):
-            raise ValueError("pairs must perfectly match the point set")
-        order = _boundary_positions(self.bottom, self.top)
-        arcs = sorted((min(order[i], order[j]), max(order[i], order[j])) for i, j in canon)
-        for a in range(len(arcs)):
-            for b in range(a + 1, len(arcs)):
-                (x1, y1), (x2, y2) = arcs[a], arcs[b]
-                if x1 < x2 < y1 < y2:
-                    raise ValueError("crossing pairs are not allowed")
-
-    @property
-    def points(self) -> int:
-        return self.bottom + self.top
-
-    @property
-    def parts(self) -> tuple:
-        return self.pairs
+        super().__init__(bottom, top, pairs)
+        if any(len(p) != 2 for p in self.pairs):
+            raise ValueError(self._cover_error)
+        # planar iff the pairs nest like brackets along the boundary
+        open_pairs: List[int] = []
+        for k in map(self.word.__getitem__, _boundary(bottom, top)):
+            if open_pairs and open_pairs[-1] == k:
+                open_pairs.pop()
+            else:
+                open_pairs.append(k)
+        if open_pairs:
+            raise ValueError("crossing pairs are not allowed")
 
     def __repr__(self):
         body = ",".join(f"({i},{j})" for i, j in self.pairs)
         return f"TL({self.bottom}->{self.top}; {body})"
 
 
-def _boundary_positions(a: int, b: int) -> Dict[int, int]:
-    """Walk the disk boundary: bottom left-to-right, then top right-to-left."""
-    out = {i: i for i in range(a)}
-    for j in range(b):
-        out[a + b - 1 - j] = a + j
-    return out
-
-
-def _raw_tl(bottom: int, top: int, pairs) -> TLDiagram:
-    """Construct without re-validation; each pair must be sorted."""
-    d = object.__new__(TLDiagram)
-    object.__setattr__(d, "bottom", bottom)
-    object.__setattr__(d, "top", top)
-    object.__setattr__(d, "pairs", tuple(sorted(pairs)))
-    return d
+def _boundary(a: int, b: int) -> List[int]:
+    """The points in disk-boundary order: bottom left-to-right, then top right-to-left."""
+    return [*range(a), *range(a + b - 1, a - 1, -1)]
 
 
 # ---------------------------------------------------------------------------
-# diagram-level operations
+# diagram-level operations: pcat's word kernels, cached per kind
 
-
-@lru_cache(maxsize=1 << 17)
-def _tl_compose(g: TLDiagram, f: TLDiagram):
-    """Stack g over f; returns (diagram, closed loop count)."""
-    a, b, c = f.bottom, f.top, g.top
-    link: Dict[int, List[int]] = {v: [] for v in range(a + b + c)}
-    for i, j in f.pairs:
-        link[i].append(j)
-        link[j].append(i)
-    for i, j in g.pairs:
-        link[a + i].append(a + j)
-        link[a + j].append(a + i)
-    outer = [v for v in range(a + b + c) if v < a or v >= a + b]
-    seen = set()
-    pairs = []
-    for start in outer:
-        if start in seen:
-            continue
-        seen.add(start)
-        prev, cur = start, link[start][0]
-        while a <= cur < a + b:
-            seen.add(cur)
-            nxt = [w for w in link[cur] if w != prev]
-            prev, cur = cur, nxt[0] if nxt else prev
-        seen.add(cur)
-        pairs.append(
-            tuple(
-                sorted(v if v < a else v - b for v in (start, cur))
-            )
-        )
-    loops = 0
-    for v in range(a, a + b):
-        if v in seen:
-            continue
-        loops += 1
-        prev, cur = v, link[v][0]
-        seen.add(v)
-        while cur != v:
-            seen.add(cur)
-            nxt = [w for w in link[cur] if w != prev]
-            # a doubled edge closes a two-point loop: step back to finish
-            prev, cur = cur, (nxt or [prev])[0]
-    return _raw_tl(a, c, pairs), loops
-
-
-@lru_cache(maxsize=1 << 16)
-def _tl_tensor(f: TLDiagram, g: TLDiagram) -> TLDiagram:
-    return _raw_tl(f.bottom + g.bottom, f.top + g.top, _tensor_parts(f, g))
-
-
-@lru_cache(maxsize=1 << 16)
-def _tl_dual(f: TLDiagram) -> TLDiagram:
-    return _raw_tl(f.top, f.bottom, _dual_parts(f))
+_tl_compose = lru_cache(maxsize=1 << 17)(_compose)
+_tl_tensor = lru_cache(maxsize=1 << 16)(_tensor)
+_tl_dual = lru_cache(maxsize=1 << 16)(_dual)
 
 
 def noncrossing_matchings(a: int, b: int, cap: Optional[int] = None) -> List[TLDiagram]:
@@ -141,28 +73,18 @@ def noncrossing_matchings(a: int, b: int, cap: Optional[int] = None) -> List[TLD
         raise CapExceededError(f"{a + b} boundary points exceeds cap {cap}")
     if (a + b) % 2:
         return []
-    order = _boundary_positions(a, b)
-    by_position = {pos: point for point, pos in order.items()}
 
-    def rec(positions: Tuple[int, ...]):
-        if not positions:
+    def rec(points: Tuple[int, ...]):
+        """Non-crossing matchings of points listed in boundary order."""
+        if not points:
             yield ()
             return
-        first = positions[0]
-        for k in range(1, len(positions), 2):
-            left = positions[1:k]
-            right = positions[k + 1 :]
-            for lhs in rec(left):
-                for rhs in rec(right):
-                    yield ((first, positions[k]),) + lhs + rhs
+        for k in range(1, len(points), 2):
+            for inner in rec(points[1:k]):
+                for outer in rec(points[k + 1 :]):
+                    yield ((points[0], points[k]),) + inner + outer
 
-    out = []
-    for matching in rec(tuple(range(a + b))):
-        pairs = tuple(
-            tuple(sorted((by_position[x], by_position[y]))) for x, y in matching
-        )
-        out.append(TLDiagram(a, b, pairs))
-    return out
+    return [TLDiagram(a, b, matching) for matching in rec(tuple(_boundary(a, b)))]
 
 
 # ---------------------------------------------------------------------------

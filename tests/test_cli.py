@@ -60,6 +60,20 @@ class TestExitCodes:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("coeff", ["1" * 5000, "t^" + "1" * 5000], ids=["integer", "exponent"])
+    def test_digit_run_past_the_integer_limit_is_two(self, capsys, tmp_path, coeff):
+        doc = {
+            "source": 1,
+            "target": 1,
+            "ring": "Qt",
+            "terms": [{"blocks": [[0], [1]], "coeff": coeff}],
+        }
+        long = tmp_path / "longdigits.json"
+        long.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "trace", "-f", str(long))
+        assert (code, out) == (2, "")
+        assert "too long" in err and "position" in err
+
     @pytest.mark.parametrize("coeff", ["t^1000000", "2^1000000"])
     def test_exponent_past_the_cap_is_three(self, capsys, tmp_path, coeff):
         doc = {

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,32 @@ class TestExponentCap:
     def test_nested_powers_are_capped_by_size(self, text, tag):
         with pytest.raises(CapExceededError, match="exponent cap"):
             parse_coefficient(text, tag)
+
+
+LIMIT = sys.get_int_max_str_digits()  # Python's integer string limit, 0 if off
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="no integer string limit in this interpreter")
+class TestLongDigitRuns:
+    """A digit run past Python's integer string limit is a parse error with its position."""
+
+    def test_at_the_limit(self):
+        assert parse_coefficient("1" * LIMIT, QQ) == QQ.from_fraction(int("1" * LIMIT))
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("1" * (LIMIT + 1), 0),
+            ("t^" + "1" * (LIMIT + 1), 2),
+            ("3/" + "7" * (LIMIT + 1), 2),
+            ("t + -" + "2" * (LIMIT + 1), 5),
+        ],
+        ids=["integer", "exponent", "denominator", "negated"],
+    )
+    def test_past_the_limit(self, text, position):
+        with pytest.raises(CoeffParseError, match="too long") as info:
+            parse_coefficient(text, POLY_T)
+        assert info.value.position == position
 
 
 class TestChebyshevMinpoly:

@@ -30,9 +30,13 @@ CASES = {
     "tl-trace": ["tl", "trace", "-f", T, "--json"],
     "tl-jw-3": ["tl", "jw", "--n", "3", "--json"],
     "gram-1": ["gram", "--n", "1", "--json"],
+    "gram-2": ["gram", "--n", "2", "--json"],
     "symmetrizer-21": ["symmetrizer", "--lambda", "2,1", "-o", "{OUT}"],
     "decompose-2-1": ["decompose", "--n", "2", "--d", "1", "--json"],
 }
+FAMILIES = ("deltalg", "deltaj", "dplus1", "ortho", "psi", "azero", "nondegenerate")
+CASES.update({f"verify-{fam}-3": ["verify", "--json", "--family", fam, "--n", "3"] for fam in FAMILIES})
+CASES["verify-xn_idempotent-5"] = ["verify", "--json", "--family", "xn_idempotent", "--n", "5"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -3,13 +3,15 @@
 import inspect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partcat import pcat, tl
 from partcat.coeff import chebyshev_minpoly, number_field
 from partcat.errors import CapExceededError, CoeffParseError, SchemaError, TagMismatchError
 from partcat.lincomb import LinComb, from_dict
+
+import reference_kernels as reference
 
 QDELTA = number_field(chebyshev_minpoly(5), "d")
 
@@ -42,34 +44,95 @@ class TestKindMixing:
 
 
 class TestKernelsAgree:
-    """Planar matchings are pair partitions: both kinds' kernels must agree."""
-
-    @staticmethod
-    def as_partition(d):
-        return pcat.PartitionDiagram(d.bottom, d.top, d.pairs)
+    """The TL kernels agree with the point-level reference and stay planar."""
 
     @pytest.mark.parametrize("a,b,c", [(2, 2, 2), (1, 3, 1), (3, 3, 1), (4, 2, 4)])
     def test_compose(self, a, b, c):
         for f in tl.noncrossing_matchings(a, b):
             for g in tl.noncrossing_matchings(b, c):
                 h, loops = tl._tl_compose(g, f)
-                ph, interior = pcat._compose_diagrams(self.as_partition(g), self.as_partition(f))
-                assert (ph.blocks, interior) == (h.pairs, loops)
+                assert (h.pairs, loops) == reference.compose(g, f)
                 assert tl.TLDiagram(a, c, h.pairs) == h
 
     def test_tensor_dual_closure(self):
         for f in tl.noncrossing_matchings(1, 3):
             dual = tl._tl_dual(f)
             assert tl.TLDiagram(3, 1, dual.pairs) == dual
-            assert dual.pairs == pcat._dual_diagram(self.as_partition(f)).blocks
+            assert dual.pairs == reference.dual(f)
             for g in tl.noncrossing_matchings(2, 2):
                 prod = tl._tl_tensor(f, g)
                 assert tl.TLDiagram(3, 5, prod.pairs) == prod
-                assert prod.pairs == pcat._tensor_diagrams(
-                    self.as_partition(f), self.as_partition(g)
-                ).blocks
+                assert prod.pairs == reference.tensor(f, g)
         for f in tl.noncrossing_matchings(3, 3):
-            assert pcat._closure_parts(f) == pcat._closure_parts(self.as_partition(f))
+            assert pcat._closure_parts(f) == reference.closure(f)
+
+
+# -- the word kernels against the point-level reference, for both kinds
+
+sizes = st.integers(0, 6)
+
+
+@st.composite
+def diagrams(draw, kind: str, bottom: int, top: int):
+    """A random partition diagram, or a random planar matching (None if a+b is odd)."""
+    if kind == "tl":
+        basis = tl.noncrossing_matchings(bottom, top)
+        return draw(st.sampled_from(basis)) if basis else None
+    labels = draw(st.lists(st.integers(0, bottom + top), min_size=bottom + top, max_size=bottom + top))
+    blocks = {}
+    for p, label in enumerate(labels):
+        blocks.setdefault(label, []).append(p)
+    return pcat.PartitionDiagram(bottom, top, tuple(blocks.values()))
+
+
+KERNELS = {
+    "partition": (pcat._compose_diagrams, pcat._tensor_diagrams, pcat._dual_diagram),
+    "tl": (tl._tl_compose, tl._tl_tensor, tl._tl_dual),
+}
+
+
+class TestWordKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["partition", "tl"]), a=sizes, b=sizes, c=sizes, data=st.data())
+    def test_compose_matches_reference(self, kind, a, b, c, data):
+        f, g = data.draw(diagrams(kind, a, b)), data.draw(diagrams(kind, b, c))
+        assume(f is not None and g is not None)
+        h, loops = KERNELS[kind][0](g, f)
+        assert type(h) is type(f) and (h.bottom, h.top) == (a, c)
+        assert (h.parts, loops) == reference.compose(g, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["partition", "tl"]), sizes=st.tuples(*[sizes] * 4), data=st.data())
+    def test_tensor_dual_closure_match_reference(self, kind, sizes, data):
+        a, b, c, d = sizes
+        f, g = data.draw(diagrams(kind, a, b)), data.draw(diagrams(kind, c, d))
+        assume(f is not None and g is not None)
+        _, tensor, dual = KERNELS[kind]
+        assert tensor(f, g).parts == reference.tensor(f, g)
+        assert dual(f).parts == reference.dual(f)
+        endo = data.draw(diagrams(kind, a, a))
+        assert pcat._closure_parts(endo) == reference.closure(endo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=sizes, b=sizes, data=st.data())
+    def test_blocks_word_round_trip(self, a, b, data):
+        d = data.draw(diagrams("partition", a, b))
+        blocks = d.blocks
+        assert blocks == tuple(sorted(tuple(sorted(x)) for x in blocks))
+        word = d.word
+        assert len(word) == a + b and d.nblocks == len(blocks)
+        assert all(word[p] == k for k, block in enumerate(blocks) for p in block)
+        assert all(word[i] <= max(word[:i], default=-1) + 1 for i in range(a + b))
+        assert pcat._raw(pcat.PartitionDiagram, a, b, word, d.nblocks).blocks == blocks
+        # a fresh copy from its blocks, written in another order
+        shuffled = data.draw(st.permutations([data.draw(st.permutations(x)) for x in blocks]))
+        again = pcat.PartitionDiagram(a, b, shuffled)
+        assert again == d and hash(again) == hash(d) and again.blocks == blocks
+        # == and hash follow the canonical blocks
+        other = data.draw(diagrams("partition", a, b))
+        assert (other == d) == (other.blocks == blocks)
+        if other == d:
+            assert hash(other) == hash(d)
 
 
 # -- JSON reader: every document parses or fails with a schema/parse error

@@ -47,6 +47,35 @@ class TestDiagram:
         with pytest.raises(ValueError):
             TLDiagram(4, 0, ((0, 2), (1, 3)))
 
+    def test_planarity_matches_the_arc_test(self):
+        # two arcs cross iff their ends interleave along the boundary
+        def crosses(a, b, pairs):
+            order = [*range(a), *range(a + b - 1, a - 1, -1)]
+            pos = {p: i for i, p in enumerate(order)}
+            arcs = [sorted((pos[i], pos[j])) for i, j in pairs]
+            return any(x1 < x2 < y1 < y2 for x1, y1 in arcs for x2, y2 in arcs)
+
+        def matchings(points):
+            if not points:
+                yield ()
+                return
+            for k in range(1, len(points)):
+                rest = points[1:k] + points[k + 1 :]
+                for m in matchings(rest):
+                    yield ((points[0], points[k]),) + m
+
+        for n in (0, 2, 4, 6, 8):
+            for a in range(n + 1):
+                planar = 0
+                for pairs in matchings(tuple(range(n))):
+                    if crosses(a, n - a, pairs):
+                        with pytest.raises(ValueError, match="crossing"):
+                            TLDiagram(a, n - a, pairs)
+                    else:
+                        assert TLDiagram(a, n - a, pairs).pairs == tuple(sorted(pairs))
+                        planar += 1
+                assert planar == catalan(n // 2)
+
     def test_parity_and_cover(self):
         with pytest.raises(ValueError):
             TLDiagram(1, 2, ((0, 1), (2, 2)))
