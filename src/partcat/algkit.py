@@ -9,13 +9,23 @@ pairing ranks against tensor powers and symmetrizer cuts.
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
 raw payloads: Fraction for Q tags, RingElement otherwise; both support
 the arithmetic the routines use.
+
+Building a FinDimAlgebra certifies its table: the unit is checked as a
+two-sided identity on every basis element, and associativity is checked
+completely by Light's test (Clifford-Preston, *The Algebraic Theory of
+Semigroups* I, 1961).  The elements a with (xa)y = x(ay) for all x, y
+form a subalgebra, so it suffices to check every triple (b_i, g, b_k)
+with g in a generating set S: dim^2 |S| triples, not dim^3.  S is itself
+certified: a walk from the unit by right multiplication by S spans the
+whole algebra.  End algebras offer their standard generators (e_i; s_i,
+p_i, b_i) first; the walk adds basis elements wherever it stalls.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -34,9 +44,6 @@ from . import pcat, tl
 
 PARTITION_DIM_CAP = 250  # Bell(2n) bound: n <= 3
 TL_STRAND_CAP = 6
-FULL_ASSOC_CHECK_MONOMIAL = 150  # flattened full check below this dimension
-FULL_ASSOC_CHECK_DIM = 40
-ASSOC_SAMPLES = 300
 ROOT_SEARCH_LIMIT = 10**6  # largest |a_0|, |a_n| searched for rational roots
 
 
@@ -50,7 +57,11 @@ def _unraw(tag: RingTag, x) -> RingElement:
 
 @dataclass
 class FinDimAlgebra:
-    """Basis-indexed structure constants over an exact field."""
+    """Basis-indexed structure constants over an exact field.
+
+    ``generators`` holds the basis indices that the associativity check
+    certified as generating the algebra.
+    """
 
     tag: RingTag
     labels: list
@@ -58,8 +69,9 @@ class FinDimAlgebra:
     unit: dict  # raw sparse vector
     kind: str
     to_morphism_fn: Optional[Callable] = None
+    candidates: InitVar[Sequence[int]] = ()  # basis indices tried first as generators
 
-    def __post_init__(self):
+    def __post_init__(self, candidates):
         self.dim = len(self.labels)
         self.zero = _raw(self.tag, self.tag.zero())
         self.one = _raw(self.tag, self.tag.one())
@@ -73,6 +85,7 @@ class FinDimAlgebra:
         else:
             self._flat = None
         self._check_unit()
+        self.generators = self._generators(candidates)
         self._check_associativity()
 
     # -- arithmetic on sparse vectors -----------------------------------
@@ -164,50 +177,50 @@ class FinDimAlgebra:
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
                 raise ValueError("unit is not a two-sided identity")
 
+    def _generators(self, candidates: Sequence[int]) -> List[int]:
+        """Basis indices S that generate the algebra.
+
+        The certificate is a walk from the unit by right multiplication by
+        S that spans every basis element.  Each candidate, then each basis
+        element, that the walk has not yet reached joins S.
+        """
+        one = self.one
+        span = _RawSpan(self.zero, one)
+        span.add(self.unit)
+        reached = [self.unit]  # every element here has been multiplied by gens
+        gens: List[int] = []
+        for g in [*candidates, *range(self.dim)]:
+            if span.dim == self.dim:
+                break
+            if span.contains({g: one}):
+                continue
+            gens.append(g)
+            old = len(reached)
+            for r, x in enumerate(reached):  # the loop reaches what it appends
+                for h in gens if r >= old else (g,):
+                    w = self.mul(x, {h: one})
+                    if span.add(w):
+                        reached.append(w)
+        return gens
+
     def _check_associativity(self):
-        n = self.dim
-        if self._flat is not None and n <= FULL_ASSOC_CHECK_MONOMIAL:
-            # flattened full check: products of basis elements are monomial
-            flat = self._flat
-            for i in range(n):
-                row_i = flat[i]
-                for j in range(n):
-                    ij = row_i[j]
-                    for k in range(n):
-                        left = None
-                        if ij is not None:
-                            m, c = ij
-                            cell = flat[m][k]
-                            if cell is not None:
-                                left = (cell[0], c * cell[1])
-                        right = None
-                        jk = flat[j][k]
-                        if jk is not None:
-                            m, c = jk
-                            cell = row_i[m]
-                            if cell is not None:
-                                right = (cell[0], c * cell[1])
-                        if left != right:
-                            raise ValueError(
-                                f"structure constants not associative at {(i, j, k)}"
-                            )
-            return
-        if n <= FULL_ASSOC_CHECK_DIM:
-            triples = (
-                (i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            )
-        else:
-            rng = random.Random(1202)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(ASSOC_SAMPLES)
-            )
-        for i, j, k in triples:
-            bi, bj, bk = {i: self.one}, {j: self.one}, {k: self.one}
-            left = self.mul(self.mul(bi, bj), bk)
-            right = self.mul(bi, self.mul(bj, bk))
-            if left != right:
-                raise ValueError(f"structure constants not associative at {(i, j, k)}")
+        """Light's test: (b_i g) b_k = b_i (g b_k) for every generator g.
+
+        The elements a with (xa)y = x(ay) for all x, y form a subalgebra
+        that contains the unit, so it is the whole algebra once it
+        contains a generating set.
+        """
+        table = self.table
+        columns = list(zip(*table))  # columns[k][m] = table[m][k]
+        for j in self.generators:
+            g_row = table[j]
+            for i, row in enumerate(table):
+                ig = row[j]
+                for k, column in enumerate(columns):
+                    if _combine(ig, column) != _combine(g_row[k], row):
+                        raise ValueError(
+                            f"structure constants not associative at {(i, j, k)}"
+                        )
 
     def _is_monomial(self) -> bool:
         return all(
@@ -241,6 +254,20 @@ class FinDimAlgebra:
                 row.append(acc)
             out.append(row)
         return out
+
+
+def _combine(x: dict, vectors) -> dict:
+    """The sum over m of x[m] vectors[m], for sparse x and sparse vectors."""
+    acc: dict = {}
+    for m, c in x.items():
+        for k, s in vectors[m].items():
+            v = acc.get(k)
+            v = c * s if v is None else v + c * s
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +359,9 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _end_algebra(cls, n: int, tag: RingTag, basis: list) -> FinDimAlgebra:
-    """End(n) in the diagram kind of ``cls``, over the given Hom(n, n) basis."""
+def _end_algebra(cls, n: int, tag: RingTag, basis: list, generators: list) -> FinDimAlgebra:
+    """End(n) in the diagram kind of ``cls``, over the given Hom(n, n) basis;
+    ``generators`` are the diagrams tried first by the associativity check."""
     compose = cls.kind.compose
     index = {d: i for i, d in enumerate(basis)}
     param = _raw(tag, tag.parameter())
@@ -350,7 +378,10 @@ def _end_algebra(cls, n: int, tag: RingTag, basis: list) -> FinDimAlgebra:
     def to_morphism(vec):
         return cls(n, n, tag, {basis[i]: _unraw(tag, c) for i, c in vec.items()})
 
-    return FinDimAlgebra(tag, list(basis), table, {index[ident]: one}, cls.kind.name, to_morphism)
+    return FinDimAlgebra(
+        tag, list(basis), table, {index[ident]: one}, cls.kind.name, to_morphism,
+        [index[g] for g in generators],
+    )
 
 
 def end_algebra_partition(n: int, t=None) -> FinDimAlgebra:
@@ -360,7 +391,7 @@ def end_algebra_partition(n: int, t=None) -> FinDimAlgebra:
             f"End([A_{n}]) dimension Bell({2 * n}) exceeds {PARTITION_DIM_CAP}"
         )
     tag = RATFUN_T if t is None else bound_q(Fraction(t), "t")
-    return _end_algebra(Morphism, n, tag, hom_basis(n, n))
+    return _end_algebra(Morphism, n, tag, hom_basis(n, n), pcat.standard_generators(n))
 
 
 def end_algebra_tl(n: int, ring: Optional[RingTag] = None) -> FinDimAlgebra:
@@ -368,7 +399,9 @@ def end_algebra_tl(n: int, ring: Optional[RingTag] = None) -> FinDimAlgebra:
     if n > TL_STRAND_CAP:
         raise CapExceededError(f"TL end algebras capped at {TL_STRAND_CAP} strands")
     tag = RATFUN_D if ring is None else ring
-    return _end_algebra(tl.TLMorphism, n, tag, tl.noncrossing_matchings(n, n))
+    return _end_algebra(
+        tl.TLMorphism, n, tag, tl.noncrossing_matchings(n, n), tl.standard_generators(n)
+    )
 
 
 def end_algebra(source: str, n: int, *, t=None, ring: Optional[RingTag] = None,
@@ -416,10 +449,7 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
     unit = corner_coords(e_vec)
 
     def to_morphism(vec):
-        amb: dict = {}
-        for k, c in vec.items():
-            amb = A.add(amb, A.scale(vectors[k], c))
-        return A.to_morphism(amb)
+        return A.to_morphism(_combine(vec, vectors))
 
     labels = [f"corner{k}" for k in range(len(vectors))]
     return FinDimAlgebra(A.tag, labels, table, unit, "corner", to_morphism)

@@ -285,6 +285,21 @@ def counit(n: int, ring: RingTag = POLY_T) -> Morphism:
     return unit(n, ring).dual()
 
 
+def standard_generators(n: int) -> list:
+    """The diagrams s_i, p_i, b_i (in that order) that generate End([A_n])
+    (Halverson-Ram, *Partition algebras*, 2005): s_i swaps strands i and
+    i+1, p_i cuts strand i, b_i joins strands i and i+1 in one block."""
+
+    def replace(strands, blocks):
+        kept = [(k, n + k) for k in range(n) if k not in strands]
+        return PartitionDiagram(n, n, tuple(kept + blocks))
+
+    swaps = [replace((i, i + 1), [(i, n + i + 1), (i + 1, n + i)]) for i in range(n - 1)]
+    cuts = [replace((i,), [(i,), (n + i,)]) for i in range(n)]
+    joins = [replace((i, i + 1), [(i, i + 1, n + i, n + i + 1)]) for i in range(n - 1)]
+    return swaps + cuts + joins
+
+
 def dim(n: int, ring: RingTag = POLY_T) -> RingElement:
     """Categorical dimension of [A_n] (= parameter^n)."""
     return identity(n, ring).trace()

@@ -126,10 +126,18 @@ def tl_e(i: int, n: int, ring: RingTag = RATFUN_D) -> TLMorphism:
     """Cup-cap generator on strands i, i+1 (1-based, i < n)."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"e_{i} undefined on {n} strands")
+    return TLMorphism(n, n, ring, {_e_diagram(i, n): ring.one()})
+
+
+def _e_diagram(i: int, n: int) -> TLDiagram:
     pairs = [(i - 1, i), (n + i - 1, n + i)]
     pairs += [(k, n + k) for k in range(n) if k not in (i - 1, i)]
-    d = TLDiagram(n, n, tuple(pairs))
-    return TLMorphism(n, n, ring, {d: ring.one()})
+    return TLDiagram(n, n, tuple(pairs))
+
+
+def standard_generators(n: int) -> List[TLDiagram]:
+    """The diagrams of e_1 .. e_{n-1}, which generate End(n)."""
+    return [_e_diagram(i, n) for i in range(1, n)]
 
 
 def tl_hom_dimension(a: int, b: int, cap: Optional[int] = None) -> int:

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -260,6 +261,163 @@ class TestStructureChecks:
             FinDimAlgebra(tag, ["a", "b"], table, {1: one}, "test")
 
 
+def _product(table, x, y):
+    acc = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in table[i][j].items():
+                acc[k] = acc.get(k, 0) + a * b * c
+    return {k: v for k, v in acc.items() if v}
+
+
+def _every_triple_associative(table) -> bool:
+    """The dim^3 check, independent of algkit; for small tables only."""
+    basis = [{k: 1} for k in range(len(table))]
+    return all(
+        _product(table, _product(table, x, y), z) == _product(table, x, _product(table, y, z))
+        for x in basis
+        for y in basis
+        for z in basis
+    )
+
+
+def _corrupted(A, i, j, cell):
+    table = [list(row) for row in A.table]
+    table[i][j] = cell
+    return table
+
+
+def _build(A, table):
+    """A FinDimAlgebra on the table, with A's generators as the hints."""
+    return FinDimAlgebra(A.tag, A.labels, table, A.unit, A.kind, None, A.generators)
+
+
+def _accepted(A, table) -> bool:
+    try:
+        _build(A, table)
+    except ValueError:
+        return False
+    return True
+
+
+def _doubled(cell):
+    """The cell with its first coefficient doubled (a zero one becomes one)."""
+    (k, c), *rest = cell.items()
+    return {k: 2 * c if c else Fraction(1), **dict(rest)}
+
+
+def _corner_algebra():
+    A = end_algebra_partition(2, 1)
+    dec = split_idempotent(A, A.unit)
+    e = {}
+    for pos in (0, 3, 4, 5):
+        e = A.add(e, dec.idempotents[pos])
+    return corner_algebra(A, e)
+
+
+ALGEBRAS = {
+    "tl4-d1": lambda: end_algebra_tl(4, bound_q(1, "d")),
+    "p2-t0": lambda: end_algebra_partition(2, 0),
+    "corner": _corner_algebra,
+    "tl6-d1": lambda: end_algebra_tl(6, bound_q(1, "d")),
+    "p3-t1": lambda: end_algebra_partition(3, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _algebra(name):
+    return ALGEBRAS[name]()
+
+
+def _cells(A):
+    """Nonempty cells (i, j) with neither index the unit, whose corruption
+    leaves the unit check passing."""
+    (u,) = A.unit
+    return [
+        (i, j)
+        for i in range(A.dim)
+        for j in range(A.dim)
+        if u not in (i, j) and A.table[i][j]
+    ]
+
+
+def _corruptions(A, i, j):
+    """Cell (i, j) with its first coefficient doubled, and sent elsewhere."""
+    k = next(k for k in range(A.dim) if k not in A.table[i][j])
+    return [_doubled(A.table[i][j]), {k: A.one}]
+
+
+class TestAssociativityCertificate:
+    """Light's test over a certified generating set is a complete check:
+    every corrupted structure constant is caught, whatever the table."""
+
+    @pytest.mark.parametrize(
+        "name, pick",
+        [
+            ("tl4-d1", "generators"),
+            ("tl4-d1", "last"),
+            ("p2-t0", "zero"),
+            ("corner", "sum"),
+            ("corner", "last"),
+            ("tl6-d1", "middle"),
+            ("p3-t1", "middle"),
+            ("p3-t1", "last"),
+        ],
+    )
+    def test_corrupted_cell_is_caught(self, name, pick):
+        A = _algebra(name)
+        cells = _cells(A)
+        if pick == "generators":
+            i, j = A.generators[:2]
+        elif pick == "last":
+            i, j = cells[-1]
+        elif pick == "middle":
+            i, j = cells[len(cells) // 2]
+        elif pick == "zero":  # a cell that stores a zero coefficient
+            i, j = next((i, j) for i, j in cells if not any(A.table[i][j].values()))
+        else:  # a cell with more than one term
+            i, j = next((i, j) for i, j in cells if len(A.table[i][j]) > 1)
+        for cell in _corruptions(A, i, j):
+            with pytest.raises(ValueError, match="not associative"):
+                _build(A, _corrupted(A, i, j, cell))
+
+    @pytest.mark.parametrize("name", ["tl4-d1", "p2-t0", "corner"])
+    def test_agrees_with_every_triple(self, name):
+        A = _algebra(name)
+        assert _every_triple_associative(A.table)
+        for i, j in _cells(A)[::17]:
+            for cell in _corruptions(A, i, j):
+                table = _corrupted(A, i, j, cell)
+                assert _accepted(A, table) == _every_triple_associative(table), (i, j, cell)
+
+    def test_standard_generators_are_used(self):
+        # the walk from the unit reaches every diagram by right products of
+        # e_i (TL) or of s_1, s_2, p_1, b_1 (partition), so no basis element
+        # is added greedily
+        for n in (5, 6):
+            A = end_algebra_tl(n, bound_q(1, "d"))
+            assert [A.labels[g] for g in A.generators] == tl.standard_generators(n)
+        A = _algebra("p3-t1")
+        s1, s2, p1, _, _, b1, _ = pcat.standard_generators(3)
+        assert [A.labels[g] for g in A.generators] == [s1, s2, p1, b1]
+
+    def test_hints_that_do_not_generate(self):
+        tag = bound_q(1)
+        one = Fraction(1)
+        # the group algebra of Z/4 on 1, a, a^2, a^3; a^2 alone spans {1, a^2}
+        z4 = [[{(x + y) % 4: one} for y in range(4)] for x in range(4)]
+        A = FinDimAlgebra(tag, list("0123"), z4, {0: one}, "test", None, [2])
+        assert A.generators == [2, 1]
+        # a table that is associative on the hinted subalgebra {e, b} only
+        bad = [
+            [{0: one}, {1: one}, {2: one}],
+            [{1: one}, {2: one}, {1: one}],
+            [{2: one}, {0: one}, {0: one}],
+        ]
+        with pytest.raises(ValueError, match="not associative"):
+            FinDimAlgebra(tag, ["e", "a", "b"], bad, {0: one}, "test", None, [2])
+
+
 class TestBlockEquivalenceProfile:
     """Additive invariants of one non-semisimple block computed on both
     sides: the point-chain block of the partition category at d = 0 and
@@ -398,8 +556,12 @@ class TestFactorOverQ:
             [([1, 0, 1], 2)],  # (x^2 + 1)^2
             [([-1, -1, 0, 0, 0, 1], 1)],  # x^5 - x - 1
             [([-(10**15), 1], 1), ([-1, 1], 1)],  # end coefficient past the search limit
+            # the central minimal polynomial that splitting End([A_3]) at t = 1
+            # factors: roots 155/52, 131/52, 111/52, 79/52, -1/52, so its end
+            # coefficients 52^5 and 155*131*111*79 are past the search limit
+            [([-155, 52], 1), ([-131, 52], 1), ([-111, 52], 1), ([-79, 52], 1), ([1, 52], 1)],
         ],
-        ids=["x4+1", "(x2-2)(x2-3)", "(x2+1)^2", "x5-x-1", "big-root"],
+        ids=["x4+1", "(x2-2)(x2-3)", "(x2+1)^2", "x5-x-1", "big-root", "end-a3-t1-quintic"],
     )
     def test_fallback_cases(self, factors, monkeypatch):
         calls = []

@@ -32,8 +32,8 @@ CASES = {
     "gram-1": ["gram", "--n", "1", "--json"],
     "gram-2": ["gram", "--n", "2", "--json"],
     "symmetrizer-21": ["symmetrizer", "--lambda", "2,1", "-o", "{OUT}"],
-    "decompose-2-1": ["decompose", "--n", "2", "--d", "1", "--json"],
 }
+CASES.update({f"decompose-2-{d}": ["decompose", "--n", "2", "--d", str(d), "--json"] for d in "012"})
 FAMILIES = ("deltalg", "deltaj", "dplus1", "ortho", "psi", "azero", "nondegenerate")
 CASES.update({f"verify-{fam}-3": ["verify", "--json", "--family", fam, "--n", "3"] for fam in FAMILIES})
 CASES["verify-xn_idempotent-5"] = ["verify", "--json", "--family", "xn_idempotent", "--n", "5"]
