@@ -1,14 +1,16 @@
 """Finite-dimensional algebra toolkit over the exact coefficient fields.
 
 Endomorphism algebras of small diagram objects are captured as sparse
-structure-constant tables.  The radical comes from the regular trace
-form (characteristic zero), idempotents are split in the semisimple
-quotient and Newton-lifted back, and primitive summands are labelled by
-pairing ranks against tensor powers and symmetrizer cuts.
+structure-constant tables.  The radical is the kernel of the regular
+trace form (characteristic zero), idempotents are split in the
+semisimple quotient and Newton-lifted back, and primitive summands are
+labelled by pairing ranks against tensor powers and symmetrizer cuts.
 
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
 raw payloads: Fraction for Q tags, RingElement otherwise; both support
-the arithmetic the routines use.
+the arithmetic the routines use.  Every linear solve here (radical,
+quotient projection, spans, minimal polynomials, commutants, corner
+coordinates, pairing ranks) goes through :mod:`partcat.linalg`.
 
 Building a FinDimAlgebra certifies its table: the unit is checked as a
 two-sided identity on every basis element, and associativity is checked
@@ -27,7 +29,7 @@ import math
 import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q
 from .coeff import _pdivmod, _pmul, _pxgcd  # exact Fraction-tuple helpers
@@ -37,6 +39,7 @@ from .errors import (
     SplitError,
     TagMismatchError,
 )
+from .linalg import Span, kernel, rank
 from .lincomb import _tag_to_json, to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
@@ -185,7 +188,7 @@ class FinDimAlgebra:
         element, that the walk has not yet reached joins S.
         """
         one = self.one
-        span = _RawSpan(self.zero, one)
+        span = Span(self.zero, one)
         span.add(self.unit)
         reached = [self.unit]  # every element here has been multiplied by gens
         gens: List[int] = []
@@ -271,81 +274,6 @@ def _combine(x: dict, vectors) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# raw-scalar row reduction
-
-
-class _RawSpan:
-    """Row space tracker over raw scalars; ambient coordinates are dict keys."""
-
-    def __init__(self, zero, one):
-        self.zero = zero
-        self.one = one
-        self.rows: List[Tuple[int, dict, list]] = []  # (pivot, vector, combo)
-        self.count = 0
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, vec: dict, combo: Optional[dict]):
-        vec = dict(vec)
-        for pivot, row, cmb in self.rows:
-            c = vec.get(pivot)
-            if c:
-                for k, v in row.items():
-                    w = vec.get(k, self.zero) - c * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
-                if combo is not None:
-                    for idx, v in enumerate(cmb):
-                        if v:
-                            combo[idx] = combo.get(idx, self.zero) - c * v
-        return vec, combo
-
-    def add(self, vec: dict) -> bool:
-        combo = {self.count: self.one}
-        self.count += 1
-        vec, combo = self._reduce(vec, combo)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = self.one / vec[pivot]
-        vec = {k: v * inv for k, v in vec.items()}
-        dense = [self.zero] * self.count
-        for idx, v in combo.items():
-            dense[idx] = v * inv
-        self.rows.append((pivot, vec, dense))
-        return True
-
-    def coordinates(self, vec: dict) -> Optional[list]:
-        out = [self.zero] * self.count
-        vec = dict(vec)
-        for pivot, row, cmb in self.rows:
-            c = vec.get(pivot)
-            if c:
-                for k, v in row.items():
-                    w = vec.get(k, self.zero) - c * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
-                for idx, v in enumerate(cmb):
-                    if v:
-                        out[idx] = out[idx] + c * v
-        if vec:
-            return None
-        return out
-
-    def contains(self, vec: dict) -> bool:
-        return self.coordinates(vec) is not None
-
-    def residual(self, vec: dict) -> dict:
-        return self._reduce(vec, None)[0]
-
-
-# ---------------------------------------------------------------------------
 # endomorphism algebras
 
 
@@ -423,7 +351,7 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else e
     if not A.is_idempotent(e_vec):
         raise ValueError("cut element is not idempotent")
-    span = _RawSpan(A.zero, A.one)
+    span = Span(A.zero, A.one)
     vectors = []
     kept_attempts = []
     for i in range(A.dim):
@@ -437,9 +365,7 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
         if coords is None:
             raise SplitError("product left the corner span")
         return {
-            pos: coords[attempt]
-            for pos, attempt in enumerate(kept_attempts)
-            if attempt < len(coords) and coords[attempt]
+            pos: coords[attempt] for pos, attempt in enumerate(kept_attempts) if coords[attempt]
         }
 
     table = []
@@ -459,43 +385,10 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
 # radical and semisimple quotient
 
 
-def _raw_nullspace(rows: list, zero, one) -> list:
-    """Right kernel of a dense square raw matrix, as sparse dicts."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = one / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = {j: one}
-        for i, pc in enumerate(pivots):
-            c = mat[i][j]
-            if c:
-                vec[pc] = -c
-        basis.append(vec)
-    return basis
-
-
 def radical(A: FinDimAlgebra) -> list:
     """Basis of the Jacobson radical: the kernel of Tr_reg(xy)."""
     if A._radical is None:
-        A._radical = _raw_nullspace(A.trace_form(), A.zero, A.one)
+        A._radical = kernel(A.trace_form(), A.zero, A.one)
     return A._radical
 
 
@@ -513,7 +406,7 @@ class _Quotient:
 
     def __init__(self, A: FinDimAlgebra):
         self.A = A
-        span = _RawSpan(A.zero, A.one)
+        span = Span(A.zero, A.one)
         for v in radical(A):
             span.add(v)
         self.rad_span = span
@@ -631,11 +524,7 @@ class _SplitContext:
         self.zero = self.A.zero
         self.one = self.A.one
         self.rng = random.Random(seed)
-        if self.A.tag.kind != "Q":
-            # splitting needs exact factorization; only supported over Q
-            self.q_field = False
-        else:
-            self.q_field = True
+        self.q_field = self.A.tag.kind == "Q"  # splitting factors over Q only
 
     # products inside the quotient
     def mul(self, x, y):
@@ -643,7 +532,7 @@ class _SplitContext:
 
     def minpoly(self, x: dict, unit: dict) -> List[Fraction]:
         """Monic minimal polynomial of x in the unital corner with unit."""
-        span = _RawSpan(self.zero, self.one)
+        span = Span(self.zero, self.one)
         powers = [unit]
         span.add(unit)
         cur = unit
@@ -701,7 +590,7 @@ class _SplitContext:
         """
         if not candidates:
             return []
-        elim = _RawSpan(self.zero, self.one)
+        elim = Span(self.zero, self.one)
         combos = []
         for idx, v in enumerate(candidates):
             row: dict = {(1, idx, 0): self.one}
@@ -718,7 +607,7 @@ class _SplitContext:
                     combo = self.A.add(combo, self.A.scale(candidates[key[1]], c))
                 if combo:
                     combos.append(combo)
-        span = _RawSpan(self.zero, self.one)
+        span = Span(self.zero, self.one)
         basis = []
         for z in combos:
             if span.add(z):
@@ -801,7 +690,7 @@ class _SplitContext:
         return parts
 
     def _cut_corner(self, corner: List[dict], f: dict, central: bool) -> List[dict]:
-        span = _RawSpan(self.zero, self.one)
+        span = Span(self.zero, self.one)
         out = []
         for v in corner:
             w = self.mul(f, v) if central else self.mul(self.mul(f, v), f)
@@ -825,14 +714,16 @@ class _SplitContext:
             if not x:
                 continue
             # solve x f = x with f in the left ideal (corner) x
-            span = _RawSpan(self.zero, self.one)
+            span = Span(self.zero, self.one)
             gens = []
             for v in corner:
                 w = self.mul(v, x)
                 if span.add(w):
                     gens.append(w)
-            prods = [self.mul(x, w) for w in gens]
-            sol = self._solve_combo(prods, x)
+            products = Span(self.zero, self.one)
+            for w in gens:
+                products.add(self.mul(x, w))
+            sol = products.coordinates(x)
             if sol is None:
                 continue
             f: dict = {}
@@ -852,16 +743,6 @@ class _SplitContext:
             if c:
                 combo = self.A.add(combo, self.A.scale(v, self.one * c))
         return combo
-
-    def _solve_combo(self, vectors: List[dict], target: dict) -> Optional[list]:
-        span = _RawSpan(self.zero, self.one)
-        for v in vectors:
-            span.add(v)
-        coords = span.coordinates(target)
-        if coords is None:
-            return None
-        # coordinates come back indexed by insertion attempt = input position
-        return coords + [self.zero] * (len(vectors) - len(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +783,7 @@ def split_idempotent(A: FinDimAlgebra, e, seed: int = 0) -> IdempotentDecomposit
     if e_bar == Q.unit:
         corner = [Q.project({i: A.one}) for i in Q.coords]
     else:
-        span = _RawSpan(A.zero, A.one)
+        span = Span(A.zero, A.one)
         corner = []
         for i in Q.coords:
             v = Q.mul(Q.mul(e_bar, {i: A.one}), e_bar)
@@ -1012,7 +893,7 @@ def _cached_partition_algebra(n: int, t) -> FinDimAlgebra:
 
 def _local_functional(A: FinDimAlgebra, e_vec: dict):
     """The scalar c with x = c e mod rad(eAe), for a primitive e."""
-    span = _RawSpan(A.zero, A.one)
+    span = Span(A.zero, A.one)
     for r in radical(A):
         v = A.mul(A.mul(e_vec, r), e_vec)
         span.add(v)
@@ -1026,7 +907,7 @@ def _local_functional(A: FinDimAlgebra, e_vec: dict):
             raise ValueError(
                 "corner element outside span(radical, e): the idempotent is not primitive"
             )
-        return coords[e_attempt] if len(coords) > e_attempt else A.zero
+        return coords[e_attempt]
 
     return functional
 
@@ -1071,10 +952,8 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
                     if l1 + l2:
                         weight = weight * param ** (l1 + l2)
                     acc = acc + weight
-                row.append(_unraw(tag, acc))
+                row.append(acc)
             rows.append(row)
-        from .linalg import rank
-
         return rank(rows)
 
     for k in range(n + 1):

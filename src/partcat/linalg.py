@@ -1,103 +1,122 @@
-"""Small exact linear algebra over the coefficient fields.
+"""Exact linear elimination: the one engine behind every solve in partcat.
 
-Matrices are lists of rows of :class:`RingElement` values sharing a field
-tag.  Only what the algebra toolkit needs is provided: the rank, through
-reduced row echelon form.  A fraction-free integer path keeps plain-Q
-computations fast.
+:class:`Span` is an incrementally built row space of sparse vectors
+(dicts {key: scalar}) over an exact field.  Keys may be any orderable
+values; the pivot of each stored row is its smallest key.  Scalars are
+raw payloads: ``Fraction`` over Q, :class:`RingElement` otherwise.  Each
+stored row also records which of the added vectors it combines, so a
+vector in the span can be written in the added vectors.
+
+:func:`kernel` (right kernel of a dense matrix, for the radical) and
+:func:`rank` are built on the same reduction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Sequence
-
-from .coeff import RingElement, RingTag
+from typing import List, Optional, Sequence
 
 
-def _is_q(tag: RingTag) -> bool:
-    return tag.kind == "Q"
+class Span:
+    """Row space over the field with ``zero`` and ``one``, one add at a time."""
+
+    def __init__(self, zero, one):
+        self.zero = zero
+        self.one = one
+        self.rows: list = []  # (pivot, row scaled to pivot one, {add index: coefficient})
+        self.count = 0  # add calls so far, rejected ones included
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: dict, taken: Optional[dict] = None) -> dict:
+        """vec minus its components along the stored pivots.
+
+        The multiples of the added vectors subtracted are summed into
+        ``taken``, if given.
+        """
+        vec = dict(vec)
+        zero = self.zero
+        for pivot, row, combo in self.rows:
+            c = vec.get(pivot)
+            if c:
+                for k, v in row.items():
+                    w = vec.get(k, zero) - c * v
+                    if w:
+                        vec[k] = w
+                    else:
+                        vec.pop(k, None)
+                if taken is not None:
+                    for idx, v in combo.items():
+                        taken[idx] = taken.get(idx, zero) + c * v
+        return vec
+
+    def add(self, vec: dict) -> bool:
+        """Add vec; True iff it was independent of the span and was kept."""
+        taken: dict = {}
+        vec = self._reduce(vec, taken)
+        index = self.count
+        self.count += 1
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = self.one / vec[pivot]
+        combo = {idx: -v * inv for idx, v in taken.items()}
+        combo[index] = inv
+        self.rows.append((pivot, {k: v * inv for k, v in vec.items()}, combo))
+        return True
+
+    def coordinates(self, vec: dict) -> Optional[list]:
+        """c with vec = sum of c[i] times the i-th added vector, or None if
+        vec is outside the span; one entry per add call."""
+        taken: dict = {}
+        if self._reduce(vec, taken):
+            return None
+        out = [self.zero] * self.count
+        for idx, v in taken.items():
+            out[idx] = v
+        return out
+
+    def contains(self, vec: dict) -> bool:
+        return not self._reduce(vec)
+
+    def residual(self, vec: dict) -> dict:
+        return self._reduce(vec)
 
 
-def rank(rows: Sequence[Sequence[RingElement]]) -> int:
-    rows = [list(r) for r in rows if any(x for x in r)]
-    if not rows:
-        return 0
-    tag = rows[0][0].tag
-    if _is_q(tag):
-        return _int_rank([[x.data for x in r] for r in rows])
-    return len(rref(rows)[0])
+def kernel(rows: Sequence[Sequence], zero, one) -> List[dict]:
+    """Right kernel of a dense matrix, as sparse dicts over its columns.
 
-
-def _int_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by integer fraction-free elimination with row gcd reduction."""
-    mat = []
+    The rows are reduced to reduced echelon form R; for each free column j
+    (ascending) the basis vector is {j: one, p: -R[p][j]} over the pivot
+    columns p (ascending) where R[p][j] is nonzero.
+    """
+    span = Span(zero, one)
     for r in rows:
-        den = 1
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in r]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            mat.append([v // g for v in ints])
-    if not mat:
+        span.add({j: x for j, x in enumerate(r) if x})
+    done = Span(zero, one)  # back-substitution, largest pivot first
+    for pivot, row, _ in sorted(span.rows, key=lambda entry: entry[0], reverse=True):
+        done.rows.append((pivot, done.residual(row), {}))
+    echelon = {pivot: row for pivot, row, _ in done.rows}
+    pivots = sorted(echelon)
+    basis = []
+    for j in range(len(rows[0]) if rows else 0):
+        if j in echelon:
+            continue
+        vec = {j: one}
+        for p in pivots:
+            c = echelon[p].get(j)
+            if c:
+                vec[p] = -c
+        basis.append(vec)
+    return basis
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a dense matrix of Fractions or RingElements over one field."""
+    vecs = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    entry = next((x for vec in vecs for x in vec.values()), None)
+    if entry is None:
         return 0
-    ncols = len(mat[0])
-    rk = 0
-    col = 0
-    while col < ncols and rk < len(mat):
-        piv = None
-        best = None
-        for i in range(rk, len(mat)):
-            v = mat[i][col]
-            if v and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
-        if piv is None:
-            col += 1
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        prow = mat[rk]
-        pval = prow[col]
-        for i in range(rk + 1, len(mat)):
-            row = mat[i]
-            v = row[col]
-            if v:
-                for j in range(col, ncols):
-                    row[j] = row[j] * pval - prow[j] * v
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    for j in range(ncols):
-                        row[j] //= g
-        rk += 1
-        col += 1
-    return rk
-
-
-def rref(rows: Sequence[Sequence[RingElement]]):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    span = Span(entry - entry, entry**0)
+    return sum(span.add(vec) for vec in vecs)

@@ -313,17 +313,29 @@ def _rg_words(n: int) -> Iterator[tuple]:
     """(word, block count) for every restricted-growth word of length n, in
     lexicographic order: word[0] = 0 and word[i] <= 1 + max(word[:i]).
 
-    The prefixes one short of n are listed eagerly; the last point lazily.
+    An odometer steps through the prefixes one short of n; each prefix
+    yields its words with every possible last label.
     """
     if n == 0:
         yield (), 0
         return
-    prefixes = [((), 0)]
-    for _ in range(n - 1):
-        prefixes = [(w + (v,), k + (v == k)) for w, k in prefixes for v in range(k + 1)]
-    for w, k in prefixes:
-        for v in range(k + 1):
-            yield w + (v,), k + (v == k)
+    word = [0] * (n - 1)
+    blocks = [1] * (n - 1)  # blocks[i]: block count of word[:i + 1]
+    while True:
+        prefix = tuple(word)
+        k = blocks[-1] if word else 0
+        for v in range(k):
+            yield prefix + (v,), k
+        yield prefix + (k,), k + 1
+        i = n - 2  # the last point that can still take a larger label
+        while i > 0 and word[i] == blocks[i - 1]:
+            i -= 1
+        if i <= 0:
+            return
+        word[i] += 1
+        blocks[i] = blocks[i - 1] + (word[i] == blocks[i - 1])
+        word[i + 1 :] = [0] * (n - 2 - i)
+        blocks[i + 1 :] = [blocks[i]] * (n - 2 - i)
 
 
 def set_partitions(n: int) -> Iterator[tuple]:

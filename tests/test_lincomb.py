@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partcat import pcat, tl
-from partcat.coeff import chebyshev_minpoly, number_field
+from partcat.coeff import POLY_D, POLY_T, chebyshev_minpoly, number_field
 from partcat.errors import CapExceededError, CoeffParseError, SchemaError, TagMismatchError
 from partcat.lincomb import LinComb, from_dict
 
@@ -182,3 +182,45 @@ def test_reader_raises_only_schema_or_parse_errors(kind, field, value):
         assert field == "terms" and not isinstance(value, list)
         return
     assert isinstance(m, LinComb)
+
+
+class TestSpecializeCommutes:
+    """Evaluating the parameter is a ring map, so it commutes with composition
+    and with the categorical trace, for both kinds over Q[t] and Q[d]."""
+
+    KINDS = {
+        "partition": (pcat.Morphism, POLY_T, pcat.hom_basis, [0, 1, 2, 3]),
+        "tl": (tl.TLMorphism, POLY_D, tl.noncrossing_matchings, [0, 2, 4]),
+    }
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    @classmethod
+    def morphism(cls, data, kind, a, b):
+        mcls, ring, basis, _ = cls.KINDS[kind]
+        x = ring.variable()
+        terms = {}
+        for d in data.draw(st.lists(st.sampled_from(basis(a, b)), max_size=4)):
+            cs = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+            terms[d] = sum((c * x**i for i, c in enumerate(cs)), ring.zero())
+        return mcls(a, b, ring, terms)
+
+    @classmethod
+    def sizes(cls, data, kind, count):
+        choices = cls.KINDS[kind][3]
+        shift = data.draw(st.sampled_from([0, 1])) if kind == "tl" else 0
+        return [data.draw(st.sampled_from(choices)) + shift for _ in range(count)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["partition", "tl"]), value=values, data=st.data())
+    def test_compose(self, kind, value, data):
+        a, b, c = self.sizes(data, kind, 3)
+        f = self.morphism(data, kind, a, b)
+        g = self.morphism(data, kind, b, c)
+        assert (g @ f).specialize(value) == g.specialize(value) @ f.specialize(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["partition", "tl"]), value=values, data=st.data())
+    def test_trace(self, kind, value, data):
+        (a,) = self.sizes(data, kind, 1)
+        f = self.morphism(data, kind, a, a)
+        assert f.trace().evaluate(value) == f.specialize(value).trace()

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from partcat.linalg import rank
 from partcat.pcat import (
     PartitionDiagram,
     _hom_diagrams,
+    _rg_words,
     braiding,
     coev,
     counit,
@@ -167,6 +169,15 @@ class TestHomBasisGram:
     def test_hom_basis_counts(self):
         for a, b in [(0, 0), (1, 1), (2, 2), (1, 2), (0, 4)]:
             assert len(hom_basis(a, b)) == bell_number(a + b)
+
+    def test_rg_words_in_lexicographic_order(self):
+        for n in range(9):
+            want = [
+                (w, max(w, default=-1) + 1)
+                for w in itertools.product(*(range(i + 1) for i in range(n)))
+                if all(w[i] <= 1 + max(w[:i], default=-1) for i in range(n))
+            ]
+            assert list(_rg_words(n)) == want
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
