@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q
-from .coeff import _pdivmod, _pmul, _pxgcd  # exact Fraction-tuple helpers
+from .coeff import _pdivmod, _pmul, _pxgcd  # exact coefficient-tuple helpers
 from .errors import (
     AmbiguousSummandError,
     CapExceededError,
@@ -684,9 +684,7 @@ class _SplitContext:
             g, u, _ = _pxgcd(h, tuple(fac))
             if len(g) != 1:
                 raise SplitError("factors not coprime")
-            scaled = _pmul(tuple(u), h)
-            scaled = tuple(c / g[0] for c in scaled)
-            parts.append(self.poly_at(scaled, z, e))
+            parts.append(self.poly_at(_pmul(tuple(u), h), z, e))  # g == (1,): u*h = 1 mod fac
         return parts
 
     def _cut_corner(self, corner: List[dict], f: dict, central: bool) -> List[dict]:

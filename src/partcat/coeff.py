@@ -9,9 +9,15 @@ Four kinds of coefficients are supported, selected by a :class:`RingTag`:
   monic denominator;
 * ``numberfield`` -- the quotient ring Q[d]/(m) for a squarefree monic m.
 
-Everything is exact: payloads are :class:`fractions.Fraction` values and
-tuples thereof, in a unique canonical form, so equality and hashing are
-structural.
+Everything is exact.  A ``Q`` payload is a :class:`fractions.Fraction`.
+The other payloads are tuples of coefficients, and each coefficient is a
+Python ``int`` when it is integral and a ``Fraction`` (with denominator
+other than 1) when it is not.  Most coefficients met in practice -- powers
+of t, Moebius weights, quantum integers, monic minimal polynomials -- are
+integers, and ``int`` arithmetic on them is many times faster than
+``Fraction`` arithmetic.  Every payload has a unique canonical form, so
+equality and hashing are structural; an ``int`` and the equal integral
+``Fraction`` also compare, hash and render alike.
 """
 
 from __future__ import annotations
@@ -42,8 +48,9 @@ EXPONENT_CAP = 1000
 # polynomial helpers on coefficient tuples
 
 
-def _trim(cs: Iterable[Fraction]) -> Coeffs:
-    cs = list(cs)
+def _trim(cs: Iterable) -> Coeffs:
+    """Canonical coefficients: integral values as int, no trailing zeros."""
+    cs = [c.numerator if c.denominator == 1 else c for c in cs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -67,7 +74,7 @@ def _psub(a: Coeffs, b: Coeffs) -> Coeffs:
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -76,20 +83,24 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _trim(out)
 
 
-def _pscale(a: Coeffs, c: Fraction) -> Coeffs:
+def _pscale(a: Coeffs, c) -> Coeffs:
     if c == 0:
         return ()
-    return tuple(x * c for x in a)
+    return _trim(x * c for x in a)
 
 
 def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
     if not b:
         raise DivisionByZeroError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     lead = b[-1]
     while len(r) >= len(b):
-        c = r[-1] / lead
+        top = r[-1]
+        if type(top) is int and type(lead) is int and top % lead == 0:
+            c = top // lead
+        else:
+            c = Fraction(top, lead)
         k = len(r) - len(b)
         q[k] = c
         for i, cb in enumerate(b):
@@ -102,9 +113,9 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
 
 
 def _pmonic(a: Coeffs) -> Coeffs:
-    if not a:
-        return ()
-    return _pscale(a, Fraction(1) / Fraction(a[-1]))
+    if not a or a[-1] == 1:
+        return a
+    return _pscale(a, Fraction(1, a[-1]))
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -127,8 +138,8 @@ def _peval(a: Coeffs, x: Fraction) -> Fraction:
 def _pxgcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
     """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic."""
     r0, r1 = a, b
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
+    u0, u1 = (1,), ()
+    v0, v1 = (), (1,)
     while r1:
         q, r = _pdivmod(r0, r1)
         r0, r1 = r1, r
@@ -136,7 +147,7 @@ def _pxgcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
         v0, v1 = v1, _psub(v0, _pmul(q, v1))
     if not r0:
         return (), u0, v0
-    lead = Fraction(1) / Fraction(r0[-1])
+    lead = Fraction(1, r0[-1])
     return _pscale(r0, lead), _pscale(u0, lead), _pscale(v0, lead)
 
 
@@ -197,16 +208,16 @@ class RingTag:
         if self.kind == "poly":
             return RingElement(self, _trim((q,)))
         if self.kind == "ratfun":
-            return RingElement(self, (_trim((q,)), (Fraction(1),)))
+            return RingElement(self, (_trim((q,)), (1,)))
         return RingElement(self, _trim((q,)))
 
     def variable(self) -> "RingElement":
         """The indeterminate as an element (error for Q tags)."""
-        x = (Fraction(0), Fraction(1))
+        x = (0, 1)
         if self.kind == "poly":
             return RingElement(self, x)
         if self.kind == "ratfun":
-            return RingElement(self, (x, (Fraction(1),)))
+            return RingElement(self, (x, (1,)))
         if self.kind == "numberfield":
             return RingElement(self, _nf_reduce(x, self.minpoly))
         raise MissingParameterError(f"tag {self.kind} has no indeterminate")
@@ -258,24 +269,37 @@ def _nf_reduce(cs: Coeffs, m: Coeffs) -> Coeffs:
 # ring elements
 
 
-@dataclass(frozen=True)
 class RingElement:
     """An exact scalar in the ring named by ``tag``.
 
-    The payload is canonical: reduced Fraction for Q, trimmed coefficient
-    tuple for poly and numberfield, and a gcd-reduced pair with monic
-    denominator for ratfun.  Structural equality therefore decides ring
-    equality.
+    The payload ``data`` is canonical: a reduced Fraction for Q; a trimmed
+    coefficient tuple for poly and numberfield; and a gcd-reduced pair of
+    such tuples with monic denominator for ratfun.  Tuple coefficients are
+    ``int`` when integral and ``Fraction`` otherwise (see the module
+    docstring).  Structural equality therefore decides ring equality.
+    Elements are values: nothing assigns to ``tag`` or ``data`` after
+    construction.
     """
 
-    tag: RingTag
-    data: object
+    __slots__ = ("tag", "data")
+
+    def __init__(self, tag: RingTag, data: object):
+        self.tag = tag
+        self.data = data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tag, self.data) == (other.tag, other.data)
+
+    def __hash__(self):
+        return hash((self.tag, self.data))
 
     # -- helpers -------------------------------------------------------
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            if other.tag != self.tag:
+            if other.tag is not self.tag and other.tag != self.tag:
                 raise TagMismatchError(f"{other.tag} vs {self.tag}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -353,7 +377,7 @@ class RingElement:
             g, u, _ = _pxgcd(self.data, self.tag.minpoly)
             if len(g) != 1:
                 raise DivisionByZeroError("element is a zero divisor modulo m")
-            return RingElement(self.tag, _nf_reduce(_pscale(u, 1 / g[0]), self.tag.minpoly))
+            return RingElement(self.tag, _nf_reduce(u, self.tag.minpoly))  # g == (1,)
         raise DivisionByZeroError("inverse not available in a polynomial ring")
 
     def __truediv__(self, other):
@@ -364,7 +388,7 @@ class RingElement:
                 raise DivisionByZeroError("division by zero")
             if len(other.data) > 1:
                 raise DivisionByZeroError("inverse not available in a polynomial ring")
-            return self * self.tag.from_fraction(1 / other.data[0])
+            return self * self.tag.from_fraction(Fraction(1, other.data[0]))
         return self * other.inv()
 
     def __rtruediv__(self, other):
@@ -408,7 +432,7 @@ class RingElement:
         if k in ("poly", "numberfield"):
             return _render_poly(self.data, self.tag.var)
         n, d = self.data
-        if d == (Fraction(1),):
+        if d == (1,):
             return _render_poly(n, self.tag.var)
         num = _render_poly(n, self.tag.var)
         if _poly_term_count(n) > 1:
@@ -426,15 +450,14 @@ def _ratfun(tag: RingTag, num: Coeffs, den: Coeffs) -> RingElement:
     if not den:
         raise DivisionByZeroError("zero denominator")
     if not num:
-        return RingElement(tag, ((), (Fraction(1),)))
+        return RingElement(tag, ((), (1,)))
     g = _pgcd(num, den)
     if len(g) > 1:
         num = _pdivmod(num, g)[0]
         den = _pdivmod(den, g)[0]
-    lead = Fraction(den[-1])
-    if lead != 1:
-        num = _pscale(num, 1 / lead)
-        den = _pscale(den, 1 / lead)
+    if den[-1] != 1:
+        inv = Fraction(1, den[-1])
+        num, den = _pscale(num, inv), _pscale(den, inv)
     return RingElement(tag, (num, den))
 
 
@@ -655,7 +678,7 @@ def _parse_atom(toks: _Tokens, tag: RingTag) -> RingElement:
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> Coeffs:
-    poly = tuple([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
+    poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _pdivmod(poly, _cyclotomic(d))
@@ -665,11 +688,11 @@ def _cyclotomic(n: int) -> Coeffs:
 
 def _pair_power_basis(j: int) -> Coeffs:
     """C_j with C_j(x + 1/x) = x^j + x^-j: C_0 = 2, C_1 = y, C_{j+1} = y*C_j - C_{j-1}."""
-    c0, c1 = (Fraction(2),), (Fraction(0), Fraction(1))
+    c0, c1 = (2,), (0, 1)
     if j == 0:
         return c0
     for _ in range(j - 1):
-        c0, c1 = c1, _psub(_pmul((Fraction(0), Fraction(1)), c1), c0)
+        c0, c1 = c1, _psub(_pmul((0, 1), c1), c0)
     return c1
 
 

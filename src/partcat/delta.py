@@ -11,7 +11,6 @@ identities as exact equalities of linear combinations over Q[t].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence
@@ -574,8 +573,8 @@ def object_split_check(d: int, cap: int = 3) -> VerificationReport:
     at_d = dim_delta.evaluate(d)
     report.add("dim at t = d", at_d, at_d.tag.zero())
 
-    ratio_top = RingElement(RATFUN_T, (trace_x(n + 1, ring).data, (Fraction(1),)))
-    ratio_bot = RingElement(RATFUN_T, (dim_delta.data, (Fraction(1),)))
+    ratio_top = RingElement(RATFUN_T, (trace_x(n + 1, ring).data, (1,)))
+    ratio_bot = RingElement(RATFUN_T, (dim_delta.data, (1,)))
     ratio = ratio_top / ratio_bot
     expected = RATFUN_T.parameter() - RATFUN_T.from_fraction(n)
     report.add("relative dimension = t - (d+1)", ratio, expected)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partcat import algkit
+from partcat.algkit import FinDimAlgebra, split_idempotent
 from partcat.coeff import (
     EXPONENT_CAP,
     POLY_T,
     QQ,
     RATFUN_T,
+    RingElement,
     bound_q,
     chebyshev_minpoly,
     number_field,
@@ -287,3 +290,149 @@ class TestChebyshevMinpoly:
         # level 2 is realized by a primitive cubic root: d = -1
         tag = number_field(chebyshev_minpoly(2))
         assert tag.minpoly == (Fraction(1), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# integer payloads: integral coefficients are int, the others Fraction
+
+
+NF_CUBIC = number_field("d^3 - 3*d + 1")  # irreducible over Q, so a field
+Q_AT = bound_q(Fraction(5, 2))
+PAYLOAD_TAGS = [POLY_T, RATFUN_T, NF_CUBIC, Q_AT]
+
+
+def assert_canonical_types(x: RingElement):
+    if x.tag.kind == "Q":
+        assert type(x.data) is Fraction
+        return
+    coefficients = x.data[0] + x.data[1] if x.tag.kind == "ratfun" else x.data
+    for c in coefficients:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def poly_expr(cs, var):
+    import sympy
+
+    x = sympy.Symbol(var)
+    return sum(
+        (sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x**i
+         for i, c in enumerate(cs)),
+        sympy.Integer(0),
+    )
+
+
+def sympy_reference(x: RingElement):
+    """x as a sympy expression, built from the Fraction value of each coefficient."""
+    import sympy
+
+    if x.tag.kind == "Q":
+        return sympy.Rational(x.data.numerator, x.data.denominator)
+    if x.tag.kind == "ratfun":
+        return poly_expr(x.data[0], x.tag.var) / poly_expr(x.data[1], x.tag.var)
+    return poly_expr(x.data, x.tag.var)
+
+
+def reference_reduce(tag, want):
+    """want in lowest terms; in a number field, the polynomial mod m equal to it."""
+    import sympy
+
+    want = sympy.cancel(want)
+    if tag.kind != "numberfield":
+        return want
+    x, m = sympy.Symbol(tag.var), poly_expr(tag.minpoly, tag.var)
+    num, den = sympy.fraction(want)
+    return sympy.rem(sympy.expand(num * sympy.invert(den, m, x)), m, x)
+
+
+OPS = st.sampled_from(["+", "-", "*", "/", "inv", "**", "roundtrip"])
+
+
+@pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=["Qt", "Qratfun", "nf-cubic", "Q-at-5/2"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_payloads_are_int_or_proper_fraction(tag, data):
+    """Random programs keep every coefficient an int or a non-integral
+    Fraction, never a float or a bool, and agree with a sympy reference."""
+    import sympy
+
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    operand = elements_of(tag) if tag.kind == "Q" else poly_elements(tag)
+    acc = data.draw(operand)
+    want = sympy_reference(acc)
+    assert_canonical_types(acc)
+    for op in data.draw(st.lists(OPS, min_size=1, max_size=4)):
+        if op in ("+", "-", "*"):
+            b = data.draw(operand)
+            acc, want = {
+                "+": (acc + b, want + sympy_reference(b)),
+                "-": (acc - b, want - sympy_reference(b)),
+                "*": (acc * b, want * sympy_reference(b)),
+            }[op]
+        elif op == "/":
+            if tag.kind == "poly":  # only constants divide in Q[t]
+                b = tag.from_fraction(data.draw(small.filter(bool)))
+            else:
+                b = data.draw(operand.filter(bool))
+            acc, want = acc / b, want / sympy_reference(b)
+        elif op == "inv":
+            if not tag.is_field or acc.is_zero():
+                continue
+            acc, want = acc.inv(), 1 / want
+        elif op == "**":
+            k = data.draw(st.integers(min_value=-2 if tag.is_field and acc else 0, max_value=2))
+            acc, want = acc**k, want**k
+        else:
+            again = parse_coefficient(acc.render(), tag)
+            assert again == acc and again.render() == acc.render()
+            acc = again
+        assert_canonical_types(acc)
+        want = reference_reduce(tag, want)
+        assert sympy.cancel(sympy_reference(acc) - want) == 0, (op, acc)
+
+
+class TestDivisionSites:
+    """Each true division of a payload goes through Fraction, never float."""
+
+    def test_poly_divided_by_integer(self):
+        got = parse_coefficient("t/2", POLY_T)
+        assert got.data == (0, Fraction(1, 2))
+        assert type(got.data[1]) is Fraction
+        assert parse_coefficient("t/3", POLY_T).data == (0, Fraction(1, 3))
+        assert (POLY_T.variable() * 2 / 2).data == (0, 1)
+        assert_canonical_types(POLY_T.variable() * 2 / 2)
+
+    def test_numberfield_inverse_of_integer_element(self):
+        x = parse_coefficient("d^2 + 2*d - 1", NF_CUBIC)
+        assert all(type(c) is int for c in x.data)
+        inv = x.inv()
+        assert_canonical_types(inv)
+        assert x * inv == NF_CUBIC.one()
+        assert (NF_CUBIC.variable().inv()).data == (3, 0, -1)  # d (3 - d^2) = 1 mod m
+
+    def test_ratfun_with_non_unit_leading_denominator(self):
+        got = parse_coefficient("1/(2*t + 1)", RATFUN_T)
+        assert got.data == ((Fraction(1, 2),), (Fraction(1, 2), 1))
+        assert_canonical_types(got)
+        assert got.render() == "1/2/(t + 1/2)"
+
+    def test_central_split_with_integer_factors(self):
+        # group algebra of C2; z = (e + a)/2 has minimal polynomial x^2 - x,
+        # whose cofactor pieces u*h are integral: 1 - x and x
+        one, half = Fraction(1), Fraction(1, 2)
+        table = [[{0: one}, {1: one}], [{1: one}, {0: one}]]
+        A = FinDimAlgebra(bound_q(1), ["e", "a"], table, {0: one}, "test")
+        ctx = algkit._SplitContext(algkit._Quotient(A), 0)
+        parts = ctx._central_split({0: half, 1: half}, A.unit)
+        want = [[(0, half), (1, -half)], [(0, half), (1, half)]]
+        assert sorted(sorted(p.items()) for p in parts) == want
+        assert all(type(v) is Fraction for p in parts for v in p.values())
+        dec = split_idempotent(A, A.unit)
+        assert sorted(sorted(e.items()) for e in dec.idempotents) == want
+
+
+def test_slotted_element_keeps_value_semantics():
+    a = parse_coefficient("t + 1", POLY_T)
+    b = RingElement(POLY_T, (Fraction(1), Fraction(1)))  # integral Fractions
+    assert a == b and hash(a) == hash(b) and a.render() == b.render()
+    assert a != RingElement(RATFUN_T, a.data)
+    assert not hasattr(a, "__dict__")

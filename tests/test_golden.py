@@ -14,6 +14,8 @@ from partcat import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 P = str(GOLDEN / "partition.json")
 T = str(GOLDEN / "tl.json")
+PR = str(GOLDEN / "partition-ratfun.json")
+PD = str(GOLDEN / "partition-delta.json")
 
 CASES = {
     "compose-partition": ["compose", "-f", P, "-g", P],
@@ -29,6 +31,12 @@ CASES = {
     "tl-compose": ["tl", "compose", "-f", T, "-g", T],
     "tl-trace": ["tl", "trace", "-f", T, "--json"],
     "tl-jw-3": ["tl", "jw", "--n", "3", "--json"],
+    "tl-jw-5": ["tl", "jw", "--n", "5", "--json"],
+    "tl-jw-6-8": ["tl", "jw", "--n", "6", "--l", "8", "--json"],
+    "compose-partition-ratfun": ["compose", "-f", PR, "-g", PR],
+    "trace-partition-ratfun": ["trace", "-f", PR, "--json"],
+    "compose-partition-delta": ["compose", "-f", PD, "-g", PD],
+    "trace-partition-delta": ["trace", "-f", PD, "--json"],
     "gram-1": ["gram", "--n", "1", "--json"],
     "gram-2": ["gram", "--n", "2", "--json"],
     "symmetrizer-21": ["symmetrizer", "--lambda", "2,1", "-o", "{OUT}"],
