@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q
-from .coeff import _pdivmod, _pmul, _pxgcd  # exact coefficient-tuple helpers
+from .coeff import _pderiv, _pdivmod, _peval, _pgcd, _pscale  # exact coefficient-tuple helpers
 from .errors import (
     AmbiguousSummandError,
     CapExceededError,
@@ -47,7 +47,6 @@ from . import pcat, tl
 
 PARTITION_DIM_CAP = 250  # Bell(2n) bound: n <= 3
 TL_STRAND_CAP = 6
-ROOT_SEARCH_LIMIT = 10**6  # largest |a_0|, |a_n| searched for rational roots
 
 
 def _raw(tag: RingTag, x: RingElement):
@@ -429,58 +428,71 @@ class _Quotient:
 # splitting in the semisimple quotient
 
 
-def _factor_over_q(coeffs: List[Fraction]):
-    """Irreducible factorization over Q; coefficients ascending.
+def _rational_roots(coeffs: Sequence):
+    """The rational roots of a polynomial over Q; coefficients ascending.
 
-    Returns [(factor, multiplicity)] exactly as sympy's ``factor_list``
-    over QQ does: each factor a primitive integer polynomial with positive
-    leading coefficient, sorted by (length, multiplicity, coefficients
-    from the top).  Rational roots are peeled off by exact division; a
-    root-free cofactor of degree 2 or 3 is irreducible.  Anything else
-    (a cofactor of degree >= 4, or end coefficients too large to search
-    for roots) goes to sympy.
+    Returns ``([(q, p, mult)], rest)``: every root p/q in lowest terms
+    (q > 0) with its multiplicity, sorted by (mult, q, -p), and the degree
+    of the cofactor that has no rational root.
+
+    Candidates come from p-adic lifting (Loos, *Computing rational zeros of
+    integral polynomials by p-adic expansion*, 1983).  With g the
+    squarefree part and a its leading coefficient, the roots y = a r of the
+    monic G(y) = a^(m-1) g(y/a) are integers.  Each root of G modulo the
+    first prime at which all of them are simple is lifted by Newton's
+    iteration until the modulus passes twice a bound on |y|; every
+    candidate is then confirmed by exact division.
     """
     scale = math.lcm(*(c.denominator for c in coeffs))
     f = [int(c * scale) for c in reversed(coeffs)]  # integers, top first
     while f and not f[0]:
         f.pop(0)
     if len(f) <= 1:
-        return []
-    content = math.gcd(*f) * (1 if f[0] > 0 else -1)
-    f = [c // content for c in f]
-    found = {}
-    power = 0
-    while not f[-1]:
-        f.pop()
-        power += 1
-    if power:
-        found[(1, 0)] = power
-    if len(f) > 1 and max(f[0], abs(f[-1])) > ROOT_SEARCH_LIMIT:
-        return _factor_over_q_sympy(coeffs)
-    # every rational root p/q of f, in lowest terms, has p | a_0 and q | a_n
-    tops = _divisors(f[0])
-    for p in _divisors(abs(f[-1])):
-        for q in tops:
-            if math.gcd(p, q) != 1:
-                continue
-            for root in (p, -p):
-                while len(f) > 1:
-                    quotient = _divide_linear(f, root, q)
-                    if quotient is None:
-                        break
-                    found[(q, -root)] = found.get((q, -root), 0) + 1
-                    f = quotient
-    if len(f) > 4:
-        return _factor_over_q_sympy(coeffs)
-    if len(f) > 1:
-        found[tuple(f)] = 1
-    ordered = sorted(found.items(), key=lambda item: (len(item[0]), item[1], item[0]))
-    return [([Fraction(c) for c in reversed(fac)], mult) for fac, mult in ordered]
+        return [], 0
+    ascending = tuple(reversed(f))
+    g = _pdivmod(ascending, _pgcd(ascending, _pderiv(ascending)))[0]
+    den = math.lcm(*(c.denominator for c in g))
+    g = [int(c * den) for c in reversed(g)]
+    a = g[0]
+    bound = abs(a) + max(abs(c) for c in g[1:])  # |a r| < |a| (1 + max |g_i / a|)
+    monic = [1] + [c * a ** (i - 1) for i, c in enumerate(g) if i]
+    slope = [c * (len(monic) - 1 - i) for i, c in enumerate(monic[:-1])]
+    for prime in _primes():
+        reduced = [c % prime for c in monic]
+        residues = [y for y in range(prime) if _horner(reduced, y) % prime == 0]
+        if all(_horner(slope, y) % prime for y in residues):
+            break
+    roots = []
+    for y in residues:
+        modulus = prime
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            y = (y - _horner(monic, y) * pow(_horner(slope, y), -1, modulus)) % modulus
+        r = Fraction(y if 2 * y < modulus else y - modulus, a)
+        mult = 0
+        while (quotient := _divide_linear(f, r.numerator, r.denominator)) is not None:
+            f = quotient
+            mult += 1
+        if mult:
+            roots.append((r.denominator, r.numerator, mult))
+    roots.sort(key=lambda root: (root[2], root[0], -root[1]))
+    return roots, len(f) - 1
 
 
-def _divisors(n: int) -> List[int]:
-    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
-    return small + [n // k for k in reversed(small) if k * k != n]
+def _primes():
+    p = 2
+    while True:
+        if all(p % k for k in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _horner(f: List[int], x: int) -> int:
+    """f(x) for integer coefficients top first."""
+    acc = 0
+    for c in f:
+        acc = acc * x + c
+    return acc
 
 
 def _divide_linear(f: List[int], p: int, q: int) -> Optional[List[int]]:
@@ -494,25 +506,6 @@ def _divide_linear(f: List[int], p: int, q: int) -> Optional[List[int]]:
         out.append(h)
         carry = h * p
     return out if f[-1] + carry == 0 else None
-
-
-def _factor_over_q_sympy(coeffs: List[Fraction]):
-    """The general case of _factor_over_q; sympy is imported only here."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * x**i
-        for i, c in enumerate(coeffs)
-    )
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [Fraction(0)] * (fac.degree() + 1)
-        for monom, coef in zip(fac.monoms(), fac.coeffs()):
-            cs[monom[0]] = Fraction(coef.p, coef.q)
-        out.append((cs, mult))
-    return out
 
 
 class _SplitContext:
@@ -564,15 +557,7 @@ class _SplitContext:
         back as a new constraint, so the result is exact, not heuristic.
         """
 
-        def combo() -> dict:
-            out: dict = {}
-            for v in basis:
-                c = Fraction(self.rng.randrange(-9, 10))
-                if c:
-                    out = self.A.add(out, self.A.scale(v, self.one * c))
-            return out
-
-        trials = [combo(), combo()]
+        trials = [self._random_combination(basis, 9), self._random_combination(basis, 9)]
         candidates = list(basis)
         while True:
             candidates = self._commutant(candidates, trials)
@@ -602,9 +587,7 @@ class _SplitContext:
             if any(key[0] == 0 for key in red):
                 elim.add(red)
             else:
-                combo: dict = {}
-                for key, c in red.items():
-                    combo = self.A.add(combo, self.A.scale(candidates[key[1]], c))
+                combo = _combine({key[1]: c for key, c in red.items()}, candidates)
                 if combo:
                     combos.append(combo)
         span = Span(self.zero, self.one)
@@ -669,22 +652,22 @@ class _SplitContext:
         return out
 
     def _central_split(self, z: dict, e: dict) -> List[dict]:
+        """The idempotents h_r(z) for the roots r of the minimal polynomial
+        m of z, with h_r = m / (x - r) divided by its value at r."""
         coeffs = self.minpoly(z, e)
-        factors = _factor_over_q(coeffs)
-        if any(mult > 1 for _, mult in factors):
+        roots, rest = _rational_roots(coeffs)
+        if rest:
+            raise SplitError(f"the algebra is not split over Q: a central minimal "
+                             f"polynomial has a factor of degree {rest} without rational roots")
+        if any(mult > 1 for _, _, mult in roots):
             raise SplitError("minimal polynomial not squarefree in a semisimple quotient")
-        if len(factors) == 1:
+        if len(roots) == 1:
             return [e]
-        whole = [c for c in coeffs]
         parts = []
-        for fac, _ in factors:
-            h, rem = _pdivmod(tuple(whole), tuple(fac))
-            if rem:
-                raise SplitError("inconsistent factorization")
-            g, u, _ = _pxgcd(h, tuple(fac))
-            if len(g) != 1:
-                raise SplitError("factors not coprime")
-            parts.append(self.poly_at(_pmul(tuple(u), h), z, e))  # g == (1,): u*h = 1 mod fac
+        for q, p, _ in roots:
+            r = Fraction(p, q)
+            h = _pdivmod(coeffs, (-r, 1))[0]
+            parts.append(self.poly_at(_pscale(h, 1 / _peval(h, r)), z, e))
         return parts
 
     def _cut_corner(self, corner: List[dict], f: dict, central: bool) -> List[dict]:
@@ -697,18 +680,24 @@ class _SplitContext:
         return out
 
     def _proper_idempotent(self, e: dict, corner: List[dict]) -> dict:
+        """An idempotent of the corner of e other than 0 and e.
+
+        A sample y whose minimal polynomial has a rational root p/q and is
+        not x - p/q gives the zero divisor q y - p e.  Any other sample is
+        redrawn, even one whose minimal polynomial is a product of
+        nonlinear factors, which a full factorization over Q could cut by.
+        No minimal polynomial met splitting End([A_n]) (n <= 3) or TL_n
+        (n <= 5) at 0, 1, 2 has a nonlinear factor.
+        """
         for attempt in range(24):
             y = self._sample(corner, attempt)
             if not y:
                 continue
-            coeffs = self.minpoly(y, e)
-            factors = _factor_over_q(coeffs)
-            divisor = None
-            if len(factors) > 1 or factors[0][1] > 1:
-                divisor = factors[0][0]
-            if divisor is None:
-                continue  # irreducible: y generates a field, resample
-            x = self.poly_at(divisor, y, e)
+            roots, rest = _rational_roots(self.minpoly(y, e))
+            if not roots or (len(roots) == 1 and roots[0][2] == 1 and not rest):
+                continue  # y has no rational root, or is a scalar: resample
+            q, p, _ = roots[0]
+            x = self.poly_at((-p, q), y, e)
             if not x:
                 continue
             # solve x f = x with f in the left ideal (corner) x
@@ -724,10 +713,7 @@ class _SplitContext:
             sol = products.coordinates(x)
             if sol is None:
                 continue
-            f: dict = {}
-            for c, w in zip(sol, gens):
-                if c:
-                    f = self.A.add(f, self.A.scale(w, c))
+            f = _combine({m: c for m, c in enumerate(sol) if c}, gens)
             if f and f != e and self.mul(f, f) == f:
                 return f
         raise SplitError("failed to find a proper idempotent within the attempt bound")
@@ -735,12 +721,12 @@ class _SplitContext:
     def _sample(self, corner: List[dict], attempt: int) -> dict:
         if attempt < len(corner):
             return corner[attempt]
-        combo: dict = {}
-        for v in corner:
-            c = Fraction(self.rng.randrange(-5, 6))
-            if c:
-                combo = self.A.add(combo, self.A.scale(v, self.one * c))
-        return combo
+        return self._random_combination(corner, 5)
+
+    def _random_combination(self, vectors: List[dict], bound: int) -> dict:
+        """A combination of vectors with seeded integer weights in [-bound, bound]."""
+        draws = [self.rng.randrange(-bound, bound + 1) for _ in vectors]
+        return _combine({m: Fraction(c) for m, c in enumerate(draws) if c}, vectors)
 
 
 # ---------------------------------------------------------------------------

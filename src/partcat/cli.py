@@ -52,6 +52,8 @@ def read_morphism_file(path: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", f"offset {exc.pos}") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     return from_dict(obj)
 
 

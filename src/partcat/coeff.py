@@ -572,7 +572,10 @@ def parse_coefficient(text: str, tag: RingTag) -> RingElement:
     an expression is accepted as negation.
     """
     toks = _Tokens(text)
-    value = _parse_expr(toks, tag)
+    try:
+        value = _parse_expr(toks, tag)
+    except RecursionError:
+        raise CoeffParseError("expression nested too deeply", toks.pos) from None
     toks._skip_ws()
     if toks.pos != len(text):
         raise CoeffParseError("unexpected trailing input", toks.pos)

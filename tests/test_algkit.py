@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from partcat import algkit, pcat, tl
 from partcat.algkit import (
-    _factor_over_q,
+    _rational_roots,
     FinDimAlgebra,
     algebra_to_dict,
     corner_algebra,
@@ -25,7 +25,7 @@ from partcat.algkit import (
     split_idempotent,
 )
 from partcat.coeff import RATFUN_D, bound_q, chebyshev_minpoly, number_field
-from partcat.errors import CapExceededError
+from partcat.errors import CapExceededError, SplitError
 from partcat.linalg import rank
 from partcat.pcat import PartitionDiagram, diagram_morphism, identity, is_negligible
 from partcat.young import YoungDiagram as Y
@@ -499,7 +499,8 @@ class TestBlockEquivalenceProfile:
 
 
 def sympy_factor_list(coeffs):
-    """Reference: sympy's factor_list over QQ, coefficients ascending."""
+    """Reference: sympy's factor_list over QQ as [(factor, multiplicity)],
+    each factor's coefficients ascending."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -508,13 +509,20 @@ def sympy_factor_list(coeffs):
         for i, c in enumerate(coeffs)
     )
     _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [Fraction(0)] * (fac.degree() + 1)
-        for monom, coef in zip(fac.monoms(), fac.coeffs()):
-            cs[monom[0]] = Fraction(coef.p, coef.q)
-        out.append((cs, mult))
-    return out
+    return [([Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())], mult) for fac, mult in factors]
+
+
+def sympy_rational_roots(coeffs):
+    """The contract of _rational_roots, read off sympy's linear factors."""
+    roots, rest = [], 0
+    for fac, mult in sympy_factor_list(coeffs):
+        if len(fac) == 2:
+            r = -fac[0] / fac[1]
+            roots.append((r.denominator, r.numerator, mult))
+        else:
+            rest += (len(fac) - 1) * mult
+    roots.sort(key=lambda root: (root[2], root[0], -root[1]))
+    return roots, rest
 
 
 def poly_product(factors, scale=Fraction(1)):
@@ -538,7 +546,23 @@ integer_factors = st.integers(1, 4).flatmap(
 )
 
 
+def cofactor(coeffs, roots):
+    """coeffs divided by (q x - p)^mult for every root, ascending."""
+    out = coeffs
+    for q, p, mult in roots:
+        for _ in range(mult):
+            quotient, rest = [Fraction(0)] * (len(out) - 1), out[-1]
+            for i in range(len(out) - 2, -1, -1):  # synthetic division by x - p/q
+                quotient[i] = rest
+                rest = out[i] + rest * Fraction(p, q)
+            assert rest == 0
+            out = quotient
+    return out
+
+
 class TestFactorOverQ:
+    """_rational_roots: the linear factors over Q, found without sympy."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         factors=st.lists(st.tuples(integer_factors, st.integers(1, 3)), min_size=1, max_size=4),
@@ -546,7 +570,11 @@ class TestFactorOverQ:
     )
     def test_matches_sympy(self, factors, scale):
         coeffs = poly_product(factors, scale)
-        assert _factor_over_q(coeffs) == sympy_factor_list(coeffs)
+        roots, rest = _rational_roots(coeffs)
+        assert (roots, rest) == sympy_rational_roots(coeffs)
+        rest_factors = sympy_factor_list(cofactor(coeffs, roots))
+        assert all(len(fac) > 2 for fac, _ in rest_factors)
+        assert rest == sum((len(fac) - 1) * mult for fac, mult in rest_factors)
 
     @pytest.mark.parametrize(
         "factors",
@@ -555,61 +583,96 @@ class TestFactorOverQ:
             [([-2, 0, 1], 1), ([-3, 0, 1], 1)],  # (x^2 - 2)(x^2 - 3)
             [([1, 0, 1], 2)],  # (x^2 + 1)^2
             [([-1, -1, 0, 0, 0, 1], 1)],  # x^5 - x - 1
-            [([-(10**15), 1], 1), ([-1, 1], 1)],  # end coefficient past the search limit
+            [([-(10**15), 1], 1), ([-1, 1], 1)],  # a root of 10^15
             # the central minimal polynomial that splitting End([A_3]) at t = 1
-            # factors: roots 155/52, 131/52, 111/52, 79/52, -1/52, so its end
-            # coefficients 52^5 and 155*131*111*79 are past the search limit
+            # factors: roots 155/52, 131/52, 111/52, 79/52, -1/52
             [([-155, 52], 1), ([-131, 52], 1), ([-111, 52], 1), ([-79, 52], 1), ([1, 52], 1)],
+            [([-(10**40 - 7), 3**30], 2), ([5, 0, 1], 1)],  # a root of (10^40 - 7)/3^30
         ],
-        ids=["x4+1", "(x2-2)(x2-3)", "(x2+1)^2", "x5-x-1", "big-root", "end-a3-t1-quintic"],
+        ids=["x4+1", "(x2-2)(x2-3)", "(x2+1)^2", "x5-x-1", "big-root", "end-a3-t1-quintic",
+             "huge-root"],
     )
     def test_fallback_cases(self, factors, monkeypatch):
-        calls = []
-        fallback = algkit._factor_over_q_sympy
-        monkeypatch.setattr(
-            algkit, "_factor_over_q_sympy", lambda c: calls.append(c) or fallback(c)
-        )
+        """The cases the divisor search used to hand to sympy, now found
+        with sympy blocked from import."""
         coeffs = poly_product([([Fraction(c) for c in f], m) for f, m in factors])
-        assert _factor_over_q(coeffs) == sympy_factor_list(coeffs)
-        assert len(calls) == 1
+        want = sympy_rational_roots(coeffs)
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        assert _rational_roots(coeffs) == want
 
     @pytest.mark.parametrize(
-        "factors",
+        "factors, want",
         [
-            [([0, 1], 3), ([-1, 2], 2), ([1, 0, 1], 1)],  # x^3 (2x - 1)^2 (x^2 + 1)
-            [([-2, 0, 0, 1], 1), ([3, 1], 1)],  # irreducible cubic cofactor
-            [([1, 1], 1), ([-1, 1], 1), ([-1, 3], 2)],  # ties broken on coefficients
+            # x^3 (2x - 1)^2 (x^2 + 1)
+            ([([0, 1], 3), ([-1, 2], 2), ([1, 0, 1], 1)], ([(2, 1, 2), (1, 0, 3)], 2)),
+            # an irreducible cubic cofactor
+            ([([-2, 0, 0, 1], 1), ([3, 1], 1)], ([(1, -3, 1)], 3)),
+            # ties broken on q, then on -p
+            ([([1, 1], 1), ([-1, 1], 1), ([-1, 3], 2)], ([(1, 1, 1), (1, -1, 1), (3, 1, 2)], 0)),
         ],
         ids=["power-of-x", "cubic", "ties"],
     )
-    def test_without_sympy(self, factors, monkeypatch):
-        monkeypatch.setattr(algkit, "_factor_over_q_sympy", None)
+    def test_without_sympy(self, factors, want, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)
         coeffs = poly_product([([Fraction(c) for c in f], m) for f, m in factors], Fraction(-3, 7))
-        assert _factor_over_q(coeffs) == sympy_factor_list(coeffs)
+        assert _rational_roots(coeffs) == want
+
+
+def gaussian_rationals() -> FinDimAlgebra:
+    """Q(i) as a 2-dimensional algebra over Q: a field, so not split over Q."""
+    one = Fraction(1)
+    table = [[{0: one}, {1: one}], [{1: one}, {0: -one}]]
+    return FinDimAlgebra(bound_q(0), ["1", "i"], table, {0: one}, "corner")
+
+
+def test_field_extension_is_not_split_over_q():
+    A = gaussian_rationals()
+    with pytest.raises(SplitError, match="not split over Q"):
+        split_idempotent(A, A.unit)
 
 
 SPLITS_WITHOUT_SYMPY = """
 import contextlib, io, sys
-from partcat import cli
-from partcat.algkit import end_algebra_tl, split_idempotent
+sys.modules["sympy"] = None  # from here on, importing sympy raises ImportError
+
+import partcat
+from partcat import algkit, cli
 from partcat.coeff import bound_q
 
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["decompose", "--n", "2", "--d", "1", "--json"]) == 0
+P, T, OUT = sys.argv[1:]
+VERBS = [
+    ["compose", "-f", P, "-g", P], ["tensor", "-f", T, "-g", T], ["dual", "-f", P],
+    ["trace", "-f", P], ["dim", "--n", "2"], ["gram", "--n", "1"], ["negligible", "-f", T],
+    ["verify", "--family", "deltalg", "--n", "2"], ["verify", "--family", "object_split", "--d", "1"],
+    ["blocks", "--d", "1"], ["block-of", "--lambda", "2,1", "--d", "1"],
+    ["symmetrizer", "--lambda", "2,1", "-o", OUT],
+    ["decompose", "--n", "2", "--d", "1", "--json"], ["decompose", "--n", "2", "--t", "3/2"],
+    ["tl", "jw", "--n", "3"], ["tl", "quantum", "--n", "3", "--delta", "2"],
+    ["tl", "steinberg", "--l", "3"], ["tl", "negligible", "--n", "3", "--l", "4"],
+    ["tl", "block", "--n", "3", "--l", "4"], ["tl", "compose", "-f", T, "-g", T],
+    ["tl", "trace", "-f", T],
+]
+for argv in VERBS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
 for d in (0, 1, 2):
-    A = end_algebra_tl(4, bound_q(d, "d"))
-    split_idempotent(A, A.unit)
-print("sympy" in sys.modules)
+    A = algkit.end_algebra_tl(4, bound_q(d, "d"))
+    algkit.split_idempotent(A, A.unit)
+print("ok")
 """
 
 
-def test_splitting_does_not_import_sympy():
+def test_splitting_does_not_import_sympy(tmp_path):
+    """import partcat, every CLI verb and the TL_4 splits run with sympy
+    blocked from import."""
     src = str(Path(algkit.__file__).resolve().parents[1])
+    golden = Path(__file__).resolve().parent / "golden"
     done = subprocess.run(
-        [sys.executable, "-c", SPLITS_WITHOUT_SYMPY],
+        [sys.executable, "-c", SPLITS_WITHOUT_SYMPY, str(golden / "partition.json"),
+         str(golden / "tl.json"), str(tmp_path / "out.json")],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "ok"

@@ -88,6 +88,31 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "exponent cap" in err
 
+    def test_deeply_nested_coefficient_is_two(self, capsys, tmp_path):
+        doc = {
+            "source": 1,
+            "target": 1,
+            "ring": "Qt",
+            "terms": [{"blocks": [[0], [1]], "coeff": "(" * 300 + "1" + ")" * 300}],
+        }
+        deep = tmp_path / "deepcoeff.json"
+        deep.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "trace", "-f", str(deep))
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err and "position" in err
+
+    def test_deeply_nested_parameter_is_two(self, capsys):
+        code, out, err = run(capsys, "dim", "--n", "2", "--ring", "Q", "--t", "(" * 300 + "1" + ")" * 300)
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err
+
+    def test_deeply_nested_json_is_two(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "trace", "-f", str(deep))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
     def test_failed_verification_maps_to_one(self, capsys):
         report = VerificationReport("synthetic", 1)
         report.add("broken", identity(1), identity(1).scale(2))

@@ -201,6 +201,29 @@ class TestParser:
         got = parse_coefficient("(t^2 - 1)/(t - 1)", RATFUN_T)
         assert got == RATFUN_T.variable() + 1
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(CoeffParseError, match="nested too deeply"):
+            parse_coefficient("(" * 300 + "1" + ")" * 300, QQ)
+
+    def test_moderate_nesting_parses(self):
+        assert parse_coefficient("(" * 50 + "t" + ")" * 50, POLY_T) == POLY_T.variable()
+
+
+FUZZ_TAGS = [QQ, bound_q(Fraction(5, 2)), POLY_T, RATFUN_T, NF_SQRT2]
+
+
+@pytest.mark.parametrize("tag", FUZZ_TAGS, ids=["Q", "Q-at-5/2", "Qt", "Qratfun", "nf"])
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="0123456789td()+-*/^ ", max_size=30))
+def test_grammar_fuzz(tag, text):
+    """Any string over the grammar's alphabet parses or raises a documented
+    error, and every parsed value survives render and re-parse."""
+    try:
+        value = parse_coefficient(text, tag)
+    except (CoeffParseError, CapExceededError):
+        return
+    assert parse_coefficient(value.render(), tag) == value
+
 
 class TestExponentCap:
     def test_powers_up_to_the_cap(self):
