@@ -13,7 +13,6 @@ from .coeff import (
     chebyshev_minpoly,
     number_field,
     parse_coefficient,
-    ring_element,
 )
 from .pcat import Morphism, PartitionDiagram
 
@@ -41,6 +40,5 @@ __all__ = [
     "chebyshev_minpoly",
     "number_field",
     "parse_coefficient",
-    "ring_element",
     "__version__",
 ]

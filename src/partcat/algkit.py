@@ -7,10 +7,11 @@ semisimple quotient and Newton-lifted back, and primitive summands are
 labelled by pairing ranks against tensor powers and symmetrizer cuts.
 
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
-raw payloads: Fraction for Q tags, RingElement otherwise; both support
-the arithmetic the routines use.  Every linear solve here (radical,
-quotient projection, spans, minimal polynomials, commutants, corner
-coordinates, pairing ranks) goes through :mod:`partcat.linalg`.
+payloads of the algebra's ring ``tag``, and all their arithmetic and zero
+tests go through that ring (see :class:`~partcat.coeff.RingTag`).  Every
+linear solve here (radical, quotient projection, spans, minimal
+polynomials, commutants, corner coordinates, pairing ranks) goes through
+:mod:`partcat.linalg`.
 
 Building a FinDimAlgebra certifies its table: the unit is checked as a
 two-sided identity on every basis element, and associativity is checked
@@ -29,6 +30,7 @@ import math
 import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q
@@ -40,21 +42,13 @@ from .errors import (
     TagMismatchError,
 )
 from .linalg import Span, kernel, rank
-from .lincomb import _tag_to_json, to_dict
+from .lincomb import _powers, _tag_to_json, to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
 from . import pcat, tl
 
 PARTITION_DIM_CAP = 250  # Bell(2n) bound: n <= 3
 TL_STRAND_CAP = 6
-
-
-def _raw(tag: RingTag, x: RingElement):
-    return x.data if tag.kind == "Q" else x
-
-
-def _unraw(tag: RingTag, x) -> RingElement:
-    return RingElement(tag, x) if tag.kind == "Q" else x
 
 
 @dataclass
@@ -67,25 +61,20 @@ class FinDimAlgebra:
 
     tag: RingTag
     labels: list
-    table: list  # table[i][j] = {k: raw coefficient}
-    unit: dict  # raw sparse vector
+    table: list  # table[i][j] = {k: coefficient payload}
+    unit: dict  # sparse vector
     kind: str
     to_morphism_fn: Optional[Callable] = None
     candidates: InitVar[Sequence[int]] = ()  # basis indices tried first as generators
 
     def __post_init__(self, candidates):
         self.dim = len(self.labels)
-        self.zero = _raw(self.tag, self.tag.zero())
-        self.one = _raw(self.tag, self.tag.one())
         self._traces = None
         self._radical = None
         self._quotient = None
-        if self._is_monomial():
-            self._flat = [
-                [next(iter(cell.items()), None) for cell in row] for row in self.table
-            ]
-        else:
-            self._flat = None
+        self._flat = None  # for a monomial table: per cell, its one (k, coefficient) or None
+        if all(len(cell) <= 1 for row in self.table for cell in row):
+            self._flat = [[next(iter(cell.items()), None) for cell in row] for row in self.table]
         self._check_unit()
         self.generators = self._generators(candidates)
         self._check_associativity()
@@ -93,6 +82,8 @@ class FinDimAlgebra:
     # -- arithmetic on sparse vectors -----------------------------------
 
     def mul(self, x: dict, y: dict) -> dict:
+        ring = self.tag
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
         acc: dict = {}
         flat = self._flat
         if flat is not None:
@@ -103,52 +94,43 @@ class FinDimAlgebra:
                     if cell is None:
                         continue
                     k, s = cell
-                    c = xi * yj * s
+                    c = mul(mul(xi, yj), s)
                     v = acc.get(k)
                     if v is None:
-                        if c:
+                        if not is_zero(c):
                             acc[k] = c
                     else:
-                        v = v + c
-                        if v:
-                            acc[k] = v
-                        else:
+                        v = add(v, c)
+                        if is_zero(v):
                             del acc[k]
+                        else:
+                            acc[k] = v
             return acc
         table = self.table
         for i, xi in x.items():
             row = table[i]
             for j, yj in y.items():
-                c = xi * yj
+                c = mul(xi, yj)
                 for k, s in row[j].items():
                     v = acc.get(k)
-                    v = c * s if v is None else v + c * s
-                    if v:
-                        acc[k] = v
-                    else:
+                    v = mul(c, s) if v is None else add(v, mul(c, s))
+                    if is_zero(v):
                         acc.pop(k, None)
+                    else:
+                        acc[k] = v
         return acc
 
-    @staticmethod
-    def add(x: dict, y: dict) -> dict:
-        acc = dict(x)
-        for k, v in y.items():
-            w = acc.get(k)
-            w = v if w is None else w + v
-            if w:
-                acc[k] = w
-            else:
-                acc.pop(k, None)
-        return acc
+    def add(self, x: dict, y: dict) -> dict:
+        one = self.tag.one_payload
+        return _combine(self.tag, {0: one, 1: one}, (x, y))
 
-    @staticmethod
-    def scale(x: dict, c) -> dict:
-        if not c:
-            return {}
-        return {k: v * c for k, v in x.items()}
+    def scale(self, x: dict, c) -> dict:
+        """c x, for c an element of the algebra's ring or a rational."""
+        return _combine(self.tag, {0: self.tag.coerce(c)}, (x,))
 
     def sub(self, x: dict, y: dict) -> dict:
-        return self.add(x, self.scale(y, -self.one))
+        one = self.tag.one_payload
+        return _combine(self.tag, {0: one, 1: self.tag.neg(one)}, (x, y))
 
     def is_idempotent(self, x: dict) -> bool:
         return self.mul(x, x) == x
@@ -156,14 +138,14 @@ class FinDimAlgebra:
     # -- conversions ------------------------------------------------------
 
     def from_morphism(self, m) -> dict:
+        if m.ring != self.tag:
+            raise TagMismatchError(f"{m.ring} vs {self.tag}")
         index = {lbl: i for i, lbl in enumerate(self.labels)}
         out = {}
         for d, c in m.terms.items():
             if d not in index:
                 raise ValueError("morphism is not supported on the algebra basis")
-            if c.tag != self.tag:
-                raise TagMismatchError(f"{c.tag} vs {self.tag}")
-            out[index[d]] = _raw(self.tag, c)
+            out[index[d]] = c
         return out
 
     def to_morphism(self, vec: dict):
@@ -175,7 +157,7 @@ class FinDimAlgebra:
 
     def _check_unit(self):
         for i in range(self.dim):
-            b = {i: self.one}
+            b = {i: self.tag.one_payload}
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
                 raise ValueError("unit is not a two-sided identity")
 
@@ -186,8 +168,8 @@ class FinDimAlgebra:
         S that spans every basis element.  Each candidate, then each basis
         element, that the walk has not yet reached joins S.
         """
-        one = self.one
-        span = Span(self.zero, one)
+        one = self.tag.one_payload
+        span = Span(self.tag)
         span.add(self.unit)
         reached = [self.unit]  # every element here has been multiplied by gens
         gens: List[int] = []
@@ -212,63 +194,52 @@ class FinDimAlgebra:
         that contains the unit, so it is the whole algebra once it
         contains a generating set.
         """
-        table = self.table
+        ring, table = self.tag, self.table
         columns = list(zip(*table))  # columns[k][m] = table[m][k]
         for j in self.generators:
             g_row = table[j]
             for i, row in enumerate(table):
                 ig = row[j]
                 for k, column in enumerate(columns):
-                    if _combine(ig, column) != _combine(g_row[k], row):
+                    if _combine(ring, ig, column) != _combine(ring, g_row[k], row):
                         raise ValueError(
                             f"structure constants not associative at {(i, j, k)}"
                         )
-
-    def _is_monomial(self) -> bool:
-        return all(
-            len(cell) <= 1 for row in self.table for cell in row
-        )
 
     # -- regular representation ---------------------------------------------
 
     def regular_traces(self) -> list:
         """Tr of left multiplication by each basis element."""
         if self._traces is None:
+            add, zero = self.tag.add, self.tag.zero_payload
             self._traces = [
-                sum(
-                    (self.table[k][i].get(i, self.zero) for i in range(self.dim)),
-                    self.zero,
-                )
-                for k in range(self.dim)
+                reduce(add, (cell[i] for i, cell in enumerate(row) if i in cell), zero)
+                for row in self.table
             ]
         return self._traces
 
     def trace_form(self) -> list:
-        """B[i][j] = Tr_reg(b_i b_j)."""
+        """B[i][j] = Tr_reg(b_i b_j), as payloads."""
+        add, mul, zero = self.tag.add, self.tag.mul, self.tag.zero_payload
         traces = self.regular_traces()
-        out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                acc = self.zero
-                for k, c in self.table[i][j].items():
-                    acc = acc + c * traces[k]
-                row.append(acc)
-            out.append(row)
-        return out
+        return [
+            [reduce(add, (mul(c, traces[k]) for k, c in cell.items()), zero) for cell in row]
+            for row in self.table
+        ]
 
 
-def _combine(x: dict, vectors) -> dict:
+def _combine(ring: RingTag, x: dict, vectors) -> dict:
     """The sum over m of x[m] vectors[m], for sparse x and sparse vectors."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     acc: dict = {}
     for m, c in x.items():
         for k, s in vectors[m].items():
             v = acc.get(k)
-            v = c * s if v is None else v + c * s
-            if v:
-                acc[k] = v
-            else:
+            v = mul(c, s) if v is None else add(v, mul(c, s))
+            if is_zero(v):
                 acc.pop(k, None)
+            else:
+                acc[k] = v
     return acc
 
 
@@ -291,22 +262,21 @@ def _end_algebra(cls, n: int, tag: RingTag, basis: list, generators: list) -> Fi
     ``generators`` are the diagrams tried first by the associativity check."""
     compose = cls.kind.compose
     index = {d: i for i, d in enumerate(basis)}
-    param = _raw(tag, tag.parameter())
-    one = _raw(tag, tag.one())
+    powers = _powers(tag)
     table = []
     for bi in basis:
         row = []
         for bj in basis:
             d, loops = compose(bi, bj)
-            row.append({index[d]: param**loops if loops else one})
+            row.append({index[d]: powers[loops]})
         table.append(row)
     ident = cls.kind.diagram(n, n, tuple((i, n + i) for i in range(n)))
 
     def to_morphism(vec):
-        return cls(n, n, tag, {basis[i]: _unraw(tag, c) for i, c in vec.items()})
+        return cls.from_payloads(n, n, tag, {basis[i]: c for i, c in vec.items()})
 
     return FinDimAlgebra(
-        tag, list(basis), table, {index[ident]: one}, cls.kind.name, to_morphism,
+        tag, list(basis), table, {index[ident]: tag.one_payload}, cls.kind.name, to_morphism,
         [index[g] for g in generators],
     )
 
@@ -350,11 +320,12 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else e
     if not A.is_idempotent(e_vec):
         raise ValueError("cut element is not idempotent")
-    span = Span(A.zero, A.one)
+    ring = A.tag
+    span = Span(ring)
     vectors = []
     kept_attempts = []
     for i in range(A.dim):
-        v = A.mul(A.mul(e_vec, {i: A.one}), e_vec)
+        v = A.mul(A.mul(e_vec, {i: ring.one_payload}), e_vec)
         if span.add(v):
             vectors.append(v)
             kept_attempts.append(i)
@@ -364,7 +335,9 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
         if coords is None:
             raise SplitError("product left the corner span")
         return {
-            pos: coords[attempt] for pos, attempt in enumerate(kept_attempts) if coords[attempt]
+            pos: coords[attempt]
+            for pos, attempt in enumerate(kept_attempts)
+            if not ring.is_zero(coords[attempt])
         }
 
     table = []
@@ -374,7 +347,7 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
     unit = corner_coords(e_vec)
 
     def to_morphism(vec):
-        return A.to_morphism(_combine(vec, vectors))
+        return A.to_morphism(_combine(ring, vec, vectors))
 
     labels = [f"corner{k}" for k in range(len(vectors))]
     return FinDimAlgebra(A.tag, labels, table, unit, "corner", to_morphism)
@@ -387,7 +360,7 @@ def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
 def radical(A: FinDimAlgebra) -> list:
     """Basis of the Jacobson radical: the kernel of Tr_reg(xy)."""
     if A._radical is None:
-        A._radical = kernel(A.trace_form(), A.zero, A.one)
+        A._radical = kernel(A.trace_form(), A.tag)
     return A._radical
 
 
@@ -405,7 +378,7 @@ class _Quotient:
 
     def __init__(self, A: FinDimAlgebra):
         self.A = A
-        span = Span(A.zero, A.one)
+        span = Span(A.tag)
         for v in radical(A):
             span.add(v)
         self.rad_span = span
@@ -514,34 +487,27 @@ class _SplitContext:
     def __init__(self, Q: _Quotient, seed: int):
         self.Q = Q
         self.A = Q.A
-        self.zero = self.A.zero
-        self.one = self.A.one
+        self.ring = Q.A.tag
+        self.mul = Q.mul  # products inside the quotient
         self.rng = random.Random(seed)
-        self.q_field = self.A.tag.kind == "Q"  # splitting factors over Q only
-
-    # products inside the quotient
-    def mul(self, x, y):
-        return self.Q.mul(x, y)
+        self.q_field = self.ring.kind == "Q"  # splitting factors over Q only
 
     def minpoly(self, x: dict, unit: dict) -> List[Fraction]:
         """Monic minimal polynomial of x in the unital corner with unit."""
-        span = Span(self.zero, self.one)
+        ring = self.ring
+        span = Span(ring)
         powers = [unit]
         span.add(unit)
         cur = unit
         while True:
             cur = self.mul(cur, x)
             if not span.add(cur):
-                coords = span.coordinates(cur)
-                deg = len(powers)
-                coeffs = [self.zero] * (deg + 1)
-                for i, c in enumerate(coords):
-                    coeffs[i] = -c
-                coeffs[deg] = self.one
-                return coeffs
+                coords = span.coordinates(cur)[: len(powers)]  # drop cur's rejected add
+                return [ring.neg(c) for c in coords] + [ring.one_payload]
             powers.append(cur)
 
     def poly_at(self, coeffs: Sequence, x: dict, unit: dict) -> dict:
+        """The polynomial with rational coefficients ``coeffs`` at x."""
         acc: dict = {}
         for c in reversed(list(coeffs)):
             acc = self.mul(acc, x)
@@ -575,10 +541,11 @@ class _SplitContext:
         """
         if not candidates:
             return []
-        elim = Span(self.zero, self.one)
+        ring = self.ring
+        elim = Span(ring)
         combos = []
         for idx, v in enumerate(candidates):
-            row: dict = {(1, idx, 0): self.one}
+            row: dict = {(1, idx, 0): ring.one_payload}
             for tno, y in enumerate(trials):
                 comm = self.A.sub(self.mul(v, y), self.mul(y, v))
                 for k, c in comm.items():
@@ -587,10 +554,10 @@ class _SplitContext:
             if any(key[0] == 0 for key in red):
                 elim.add(red)
             else:
-                combo = _combine({key[1]: c for key, c in red.items()}, candidates)
+                combo = _combine(ring, {key[1]: c for key, c in red.items()}, candidates)
                 if combo:
                     combos.append(combo)
-        span = Span(self.zero, self.one)
+        span = Span(ring)
         basis = []
         for z in combos:
             if span.add(z):
@@ -671,7 +638,7 @@ class _SplitContext:
         return parts
 
     def _cut_corner(self, corner: List[dict], f: dict, central: bool) -> List[dict]:
-        span = Span(self.zero, self.one)
+        span = Span(self.ring)
         out = []
         for v in corner:
             w = self.mul(f, v) if central else self.mul(self.mul(f, v), f)
@@ -701,19 +668,19 @@ class _SplitContext:
             if not x:
                 continue
             # solve x f = x with f in the left ideal (corner) x
-            span = Span(self.zero, self.one)
+            span = Span(self.ring)
             gens = []
             for v in corner:
                 w = self.mul(v, x)
                 if span.add(w):
                     gens.append(w)
-            products = Span(self.zero, self.one)
+            products = Span(self.ring)
             for w in gens:
                 products.add(self.mul(x, w))
             sol = products.coordinates(x)
             if sol is None:
                 continue
-            f = _combine({m: c for m, c in enumerate(sol) if c}, gens)
+            f = _combine(self.ring, dict(enumerate(sol)), gens)
             if f and f != e and self.mul(f, f) == f:
                 return f
         raise SplitError("failed to find a proper idempotent within the attempt bound")
@@ -726,7 +693,8 @@ class _SplitContext:
     def _random_combination(self, vectors: List[dict], bound: int) -> dict:
         """A combination of vectors with seeded integer weights in [-bound, bound]."""
         draws = [self.rng.randrange(-bound, bound + 1) for _ in vectors]
-        return _combine({m: Fraction(c) for m, c in enumerate(draws) if c}, vectors)
+        embed = self.ring.embed
+        return _combine(self.ring, {m: embed(c) for m, c in enumerate(draws) if c}, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +732,14 @@ def split_idempotent(A: FinDimAlgebra, e, seed: int = 0) -> IdempotentDecomposit
     Q = A._quotient
     ctx = _SplitContext(Q, seed)
     e_bar = Q.project(e_vec)
+    one = A.tag.one_payload
     if e_bar == Q.unit:
-        corner = [Q.project({i: A.one}) for i in Q.coords]
+        corner = [Q.project({i: one}) for i in Q.coords]
     else:
-        span = Span(A.zero, A.one)
+        span = Span(A.tag)
         corner = []
         for i in Q.coords:
-            v = Q.mul(Q.mul(e_bar, {i: A.one}), e_bar)
+            v = Q.mul(Q.mul(e_bar, {i: one}), e_bar)
             if span.add(v):
                 corner.append(v)
     groups = ctx.split_groups(e_bar, corner)
@@ -814,7 +783,7 @@ def _newton_idempotent(A: FinDimAlgebra, y: dict, bound: int = 60) -> dict:
         if yy == y:
             return y
         yyy = A.mul(yy, y)
-        y = A.sub(A.scale(yy, 3 * A.one), A.scale(yyy, 2 * A.one))
+        y = A.sub(A.scale(yy, 3), A.scale(yyy, 2))
     raise SplitError("idempotent lifting did not stabilize within the bound")
 
 
@@ -832,10 +801,11 @@ def algebra_to_dict(A: FinDimAlgebra) -> dict:
     obj = {"kind": A.kind, "dim": A.dim}
     _tag_to_json(A.tag, obj)
     obj["labels"] = [label_json(lbl) for lbl in A.labels]
-    obj["unit"] = {str(k): _unraw(A.tag, c).render() for k, c in sorted(A.unit.items())}
+    render = A.tag.render
+    obj["unit"] = {str(k): render(c) for k, c in sorted(A.unit.items())}
     obj["structure"] = [
         [
-            [[k, _unraw(A.tag, c).render()] for k, c in sorted(cell.items())]
+            [[k, render(c)] for k, c in sorted(cell.items())]
             for cell in row
         ]
         for row in A.table
@@ -877,7 +847,7 @@ def _cached_partition_algebra(n: int, t) -> FinDimAlgebra:
 
 def _local_functional(A: FinDimAlgebra, e_vec: dict):
     """The scalar c with x = c e mod rad(eAe), for a primitive e."""
-    span = Span(A.zero, A.one)
+    span = Span(A.tag)
     for r in radical(A):
         v = A.mul(A.mul(e_vec, r), e_vec)
         span.add(v)
@@ -906,7 +876,8 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
     if n > cap:
         raise CapExceededError(f"identify_summand capped at n <= {cap}")
     A = _cached_partition_algebra(n, d)
-    tag = A.tag
+    ring = A.tag
+    add, mul, one = ring.add, ring.mul, ring.one_payload
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else e
     if not A.is_idempotent(e_vec):
         raise ValueError("input is not idempotent")
@@ -916,11 +887,11 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
     # pairing values through each End basis diagram
     sandwich = {}
     for i, label in enumerate(A.labels):
-        x = A.mul(A.mul(e_vec, {i: A.one}), e_vec)
+        x = A.mul(A.mul(e_vec, {i: one}), e_vec)
         sandwich[label] = fn(x)
     index = {label: i for i, label in enumerate(A.labels)}
 
-    param = _raw(tag, tag.parameter())
+    powers = _powers(ring)
 
     def pairing_rank(mid_terms) -> int:
         """Rank of [f(e g (mid) h e)] over the Hom bases at power k."""
@@ -928,29 +899,28 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
         for h in homs_down:
             row = []
             for g in homs_up:
-                acc = A.zero
+                acc = ring.zero_payload
                 for mid, c_mid in mid_terms:
                     gm, l1 = pcat._compose_diagrams(g, mid)
                     dm, l2 = pcat._compose_diagrams(gm, h)
-                    weight = c_mid * sandwich[dm]
+                    weight = mul(c_mid, sandwich[dm])
                     if l1 + l2:
-                        weight = weight * param ** (l1 + l2)
-                    acc = acc + weight
+                        weight = mul(weight, powers[l1 + l2])
+                    acc = add(acc, weight)
                 row.append(acc)
             rows.append(row)
-        return rank(rows)
+        return rank(rows, ring)
 
     for k in range(n + 1):
         homs_down = hom_basis(n, k)  # candidate maps X -> [A_k], pre-cut by e
         homs_up = hom_basis(k, n)
-        idk = pcat.identity(k, tag).sorted_terms()[0][0]
-        if pairing_rank([(idk, A.one)]) == 0:
+        idk = pcat.identity(k, ring).sorted_terms()[0][0]
+        if pairing_rank([(idk, one)]) == 0:
             continue
         winners = []
         for lam in partitions_of(k):
-            cut = pt_power_idempotent(lam, tag)
-            mid_terms = [(dgm, _raw(tag, c)) for dgm, c in cut.terms.items()]
-            r = pairing_rank(mid_terms)
+            cut = pt_power_idempotent(lam, ring)
+            r = pairing_rank(cut.terms.items())
             if r:
                 winners.append((lam, r))
         if len(winners) != 1:

@@ -64,13 +64,18 @@ def _output_morphism(args, m):
         sys.stdout.write(json.dumps(to_dict(m), indent=2) + "\n")
 
 
+def _rational(text: str) -> Fraction:
+    """A rational parameter value written in the coefficient grammar."""
+    return QQ.coerce(parse_coefficient(text, QQ))
+
+
 def _ring_from_args(args, var: str = "t") -> RingTag:
     name = getattr(args, "ring", None) or ("Qt" if var == "t" else "Qratfun")
     tval = getattr(args, "t", None)
     if name == "Q":
         if tval is None:
             raise CoeffParseError("ring Q needs --t", 0)
-        return bound_q(Fraction(parse_coefficient(tval, QQ).data), var)
+        return bound_q(_rational(tval), var)
     if name == "Qt":
         return RingTag("poly", var)
     if name == "Qratfun":
@@ -217,7 +222,7 @@ def _cmd_decompose(args) -> int:
     if args.d is not None:
         tval = Fraction(args.d)
     elif args.t is not None:
-        tval = Fraction(parse_coefficient(args.t, QQ).data)
+        tval = _rational(args.t)
     else:
         raise CoeffParseError("decompose needs --d or --t", 0)
     A = algkit._cached_partition_algebra(args.n, tval)  # identify_summand reuses it
@@ -248,7 +253,7 @@ def _cmd_decompose(args) -> int:
 
 def _tl_ring(args) -> RingTag:
     if getattr(args, "delta", None) is not None:
-        return bound_q(Fraction(parse_coefficient(args.delta, QQ).data), "d")
+        return bound_q(_rational(args.delta), "d")
     if getattr(args, "l", None) is not None:
         return number_field(chebyshev_minpoly(args.l), "d")
     return RATFUN_D

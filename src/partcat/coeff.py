@@ -10,18 +10,19 @@ Four kinds of coefficients are supported, selected by a :class:`RingTag`:
 * ``numberfield`` -- the quotient ring Q[d]/(m) for a squarefree monic m.
 
 Everything is exact.  A ``Q`` payload is a :class:`fractions.Fraction`.
-The other payloads are tuples of coefficients, and each coefficient is a
-Python ``int`` when it is integral and a ``Fraction`` (with denominator
-other than 1) when it is not.  Most coefficients met in practice -- powers
-of t, Moebius weights, quantum integers, monic minimal polynomials -- are
-integers, and ``int`` arithmetic on them is many times faster than
-``Fraction`` arithmetic.  Every payload has a unique canonical form, so
-equality and hashing are structural; an ``int`` and the equal integral
-``Fraction`` also compare, hash and render alike.
+The other payloads are tuples of coefficients, each a Python ``int`` when
+it is integral (most are, and ``int`` arithmetic is many times faster) and
+a ``Fraction`` with denominator other than 1 when it is not.  Every payload
+has a unique canonical form, so equality and hashing are structural.  One
+convention holds everywhere: each tag carries the arithmetic of its
+payloads, every container in partcat holds bare payloads of one ring and
+calls its tag, and :class:`RingElement`, a payload boxed with its tag, is
+the value the public API takes and returns.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,18 +153,100 @@ def _pxgcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
 
 
 # ---------------------------------------------------------------------------
+# payload arithmetic, one set of functions per ring kind
+
+
+def _inv_q(x: Fraction) -> Fraction:
+    if not x:
+        raise DivisionByZeroError("inverse of zero")
+    return 1 / x
+
+
+def _inv_poly(x: Coeffs) -> Coeffs:
+    if len(x) != 1:  # the units of Q[x] are the nonzero constants
+        raise DivisionByZeroError(
+            "inverse not available in a polynomial ring" if x else "inverse of zero"
+        )
+    return _trim((Fraction(1, x[0]),))
+
+
+def _inv_ratfun(a):
+    if not a[0]:
+        raise DivisionByZeroError("inverse of zero")
+    return _ratfun(a[1], a[0])
+
+
+def _inv_nf(a: Coeffs, m: Coeffs) -> Coeffs:
+    if not a:
+        raise DivisionByZeroError("inverse of zero")
+    g, u, _ = _pxgcd(a, m)
+    if len(g) != 1:
+        raise DivisionByZeroError("element is a zero divisor modulo m")
+    return _pdivmod(u, m)[1]  # g == (1,)
+
+
+def _const(q) -> Coeffs:
+    return _trim((Fraction(q),))
+
+
+def _ratfun(num: Coeffs, den: Coeffs):
+    """The canonical payload num/den: gcd-reduced, monic denominator."""
+    if not num:
+        return ((), (1,))
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num = _pdivmod(num, g)[0]
+        den = _pdivmod(den, g)[0]
+    if den[-1] != 1:
+        inv = Fraction(1, den[-1])
+        num, den = _pscale(num, inv), _pscale(den, inv)
+    return (num, den)
+
+
+def _rf_add(a, b):
+    (n1, d1), (n2, d2) = a, b
+    return _ratfun(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+
+
+def _rf_neg(a):
+    return (_pneg(a[0]), a[1])
+
+
+_POLY = dict(zero_payload=(), one_payload=(1,), add=_padd, sub=_psub, neg=_pneg,
+             mul=_pmul, inv=_inv_poly, is_zero=operator.not_, embed=_const)
+_ARITHMETIC = {
+    "Q": dict(zero_payload=Fraction(0), one_payload=Fraction(1), add=operator.add,
+              sub=operator.sub, neg=operator.neg, mul=operator.mul,
+              inv=_inv_q, is_zero=operator.not_, embed=Fraction),
+    "poly": _POLY,
+    "ratfun": dict(zero_payload=((), (1,)), one_payload=((1,), (1,)), add=_rf_add,
+                   sub=lambda a, b: _rf_add(a, _rf_neg(b)), neg=_rf_neg,
+                   mul=lambda a, b: _ratfun(_pmul(a[0], b[0]), _pmul(a[1], b[1])),
+                   inv=_inv_ratfun,
+                   is_zero=lambda a: not a[0], embed=lambda q: (_const(q), (1,))),
+    "numberfield": _POLY,  # mul and inv reduce modulo the tag's minpoly
+}
+
+
+# ---------------------------------------------------------------------------
 # ring tags
 
 
 @dataclass(frozen=True)
 class RingTag:
-    """Identifies a coefficient ring.
+    """Identifies a coefficient ring and carries its payload arithmetic.
 
     ``kind`` is one of ``"Q"``, ``"poly"``, ``"ratfun"``, ``"numberfield"``.
     ``var`` names the indeterminate (``t`` or ``d``).  For ``Q``, ``value``
     optionally binds the category parameter to a rational number so that
     diagram composition can evaluate its parameter powers.  For
     ``numberfield``, ``minpoly`` is the monic defining polynomial.
+
+    The payload arithmetic is plain functions chosen once per tag (the Q
+    ones are the ``operator`` functions on ``Fraction``): ``zero_payload``,
+    ``one_payload``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``embed``
+    (the payload of a rational) and ``is_zero``.  A ratfun zero payload is
+    a truthy tuple, so never test a payload's own truth value.
     """
 
     kind: str
@@ -172,7 +255,7 @@ class RingTag:
     minpoly: Optional[Coeffs] = None
 
     def __post_init__(self):
-        if self.kind not in ("Q", "poly", "ratfun", "numberfield"):
+        if self.kind not in _ARITHMETIC:
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.var not in ("t", "d"):
             raise ValueError(f"unsupported indeterminate {self.var!r}")
@@ -188,49 +271,107 @@ class RingTag:
                 raise ValueError("minimal polynomial must be squarefree")
         elif self.minpoly is not None:
             raise ValueError("minpoly only applies to numberfield tags")
+        self.__dict__.update(_ARITHMETIC[self.kind])
+        if self.kind == "numberfield":
+            m = self.minpoly
+            self.__dict__.update(mul=lambda a, b: _pdivmod(_pmul(a, b), m)[1],
+                                 inv=lambda a: _inv_nf(a, m))
 
-    # -- constructors for elements ------------------------------------
+    def __reduce__(self):
+        # the arithmetic is rebuilt from the fields, never pickled
+        return RingTag, (self.kind, self.var, self.value, self.minpoly)
 
     @property
     def is_field(self) -> bool:
         return self.kind in ("Q", "ratfun", "numberfield")
 
+    # -- payloads -------------------------------------------------------
+
+    def parameter_payload(self):
+        """The category parameter (t or d) as a payload."""
+        if self.kind == "Q":
+            if self.value is None:
+                raise MissingParameterError("no numeric parameter value bound to this Q tag")
+            return self.value
+        x = (0, 1)
+        if self.kind == "ratfun":
+            return (x, (1,))
+        return _pdivmod(x, self.minpoly)[1] if self.kind == "numberfield" else x
+
+    def coerce(self, value):
+        """The payload of ``value``: an element of this ring, an int or a Fraction."""
+        if isinstance(value, RingElement):
+            if value.tag is not self and value.tag != self:
+                raise TagMismatchError(f"{value.tag} vs {self}")
+            return value.data
+        if isinstance(value, (int, Fraction)):
+            return self.embed(value)
+        raise TypeError(f"cannot coerce {value!r} into {self}")
+
+    def power(self, x, n: int):
+        """x^n by repeated squaring; a negative n inverts x first."""
+        if n < 0:
+            x, n = self.inv(x), -n
+        mul = self.mul
+        out = self.one_payload
+        while n:
+            if n & 1:
+                out = mul(out, x)
+            x = mul(x, x) if n > 1 else x
+            n >>= 1
+        return out
+
+    def evaluate(self, x, value: Fraction) -> Fraction:
+        """A poly or ratfun payload at a rational parameter value, as a Q payload."""
+        if self.kind == "Q":
+            return x
+        if self.kind == "poly":
+            return _peval(x, value)
+        if self.kind == "ratfun":
+            n, d = x
+            dv = _peval(d, value)
+            if dv == 0:
+                raise PoleError(f"pole at {self.var} = {value}")
+            return _peval(n, value) / dv
+        raise TagMismatchError("cannot evaluate a numberfield element")
+
+    def render(self, x) -> str:
+        """Canonical text of a payload in the coefficient grammar."""
+        if self.kind == "Q":
+            return str(x)
+        if self.kind != "ratfun":
+            return _render_poly(x, self.var)
+        n, d = x
+        if d == (1,):
+            return _render_poly(n, self.var)
+        num = _render_poly(n, self.var)
+        if _poly_term_count(n) > 1:
+            num = f"({num})"
+        den = _render_poly(d, self.var)
+        if not _is_bare_power(d):
+            den = f"({den})"
+        return f"{num}/{den}"
+
+    # -- boxed elements -------------------------------------------------
+
     def zero(self) -> "RingElement":
-        return self.from_fraction(Fraction(0))
+        return RingElement(self, self.zero_payload)
 
     def one(self) -> "RingElement":
-        return self.from_fraction(Fraction(1))
+        return RingElement(self, self.one_payload)
 
     def from_fraction(self, q) -> "RingElement":
-        q = Fraction(q)
-        if self.kind == "Q":
-            return RingElement(self, q)
-        if self.kind == "poly":
-            return RingElement(self, _trim((q,)))
-        if self.kind == "ratfun":
-            return RingElement(self, (_trim((q,)), (1,)))
-        return RingElement(self, _trim((q,)))
+        return RingElement(self, self.embed(q))
 
     def variable(self) -> "RingElement":
         """The indeterminate as an element (error for Q tags)."""
-        x = (0, 1)
-        if self.kind == "poly":
-            return RingElement(self, x)
-        if self.kind == "ratfun":
-            return RingElement(self, (x, (1,)))
-        if self.kind == "numberfield":
-            return RingElement(self, _nf_reduce(x, self.minpoly))
-        raise MissingParameterError(f"tag {self.kind} has no indeterminate")
+        if self.kind == "Q":
+            raise MissingParameterError(f"tag {self.kind} has no indeterminate")
+        return RingElement(self, self.parameter_payload())
 
     def parameter(self) -> "RingElement":
         """The category parameter (t or d) as a ring element."""
-        if self.kind == "Q":
-            if self.value is None:
-                raise MissingParameterError(
-                    "no numeric parameter value bound to this Q tag"
-                )
-            return RingElement(self, self.value)
-        return self.variable()
+        return RingElement(self, self.parameter_payload())
 
 
 QQ = RingTag("Q")
@@ -261,16 +402,12 @@ def number_field(minpoly, var: str = "d") -> RingTag:
     return RingTag("numberfield", var, minpoly=m)
 
 
-def _nf_reduce(cs: Coeffs, m: Coeffs) -> Coeffs:
-    return _pdivmod(cs, m)[1]
-
-
 # ---------------------------------------------------------------------------
 # ring elements
 
 
 class RingElement:
-    """An exact scalar in the ring named by ``tag``.
+    """An exact scalar in the ring named by ``tag``: the boxed payload.
 
     The payload ``data`` is canonical: a reduced Fraction for Q; a trimmed
     coefficient tuple for poly and numberfield; and a gcd-reduced pair of
@@ -278,7 +415,7 @@ class RingElement:
     ``int`` when integral and ``Fraction`` otherwise (see the module
     docstring).  Structural equality therefore decides ring equality.
     Elements are values: nothing assigns to ``tag`` or ``data`` after
-    construction.
+    construction.  The arithmetic is the tag's.
     """
 
     __slots__ = ("tag", "data")
@@ -295,189 +432,65 @@ class RingElement:
     def __hash__(self):
         return hash((self.tag, self.data))
 
-    # -- helpers -------------------------------------------------------
-
-    def _coerce(self, other) -> "RingElement":
-        if isinstance(other, RingElement):
-            if other.tag is not self.tag and other.tag != self.tag:
-                raise TagMismatchError(f"{other.tag} vs {self.tag}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.tag.from_fraction(other)
-        raise TypeError(f"cannot coerce {other!r} into {self.tag}")
-
     def is_zero(self) -> bool:
-        if self.tag.kind == "Q":
-            return self.data == 0
-        if self.tag.kind == "ratfun":
-            return not self.data[0]
-        return not self.data
+        return self.tag.is_zero(self.data)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return not self.tag.is_zero(self.data)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        k = self.tag.kind
-        if k == "Q":
-            return RingElement(self.tag, self.data + other.data)
-        if k == "poly":
-            return RingElement(self.tag, _padd(self.data, other.data))
-        if k == "numberfield":
-            return RingElement(self.tag, _padd(self.data, other.data))
-        (n1, d1), (n2, d2) = self.data, other.data
-        return _ratfun(self.tag, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        return RingElement(self.tag, self.tag.add(self.data, self.tag.coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.tag.kind
-        if k == "Q":
-            return RingElement(self.tag, -self.data)
-        if k in ("poly", "numberfield"):
-            return RingElement(self.tag, _pneg(self.data))
-        n, d = self.data
-        return RingElement(self.tag, (_pneg(n), d))
+        return RingElement(self.tag, self.tag.neg(self.data))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return RingElement(self.tag, self.tag.sub(self.data, self.tag.coerce(other)))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return RingElement(self.tag, self.tag.sub(self.tag.coerce(other), self.data))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        k = self.tag.kind
-        if k == "Q":
-            return RingElement(self.tag, self.data * other.data)
-        if k == "poly":
-            return RingElement(self.tag, _pmul(self.data, other.data))
-        if k == "numberfield":
-            return RingElement(
-                self.tag, _nf_reduce(_pmul(self.data, other.data), self.tag.minpoly)
-            )
-        (n1, d1), (n2, d2) = self.data, other.data
-        return _ratfun(self.tag, _pmul(n1, n2), _pmul(d1, d2))
+        return RingElement(self.tag, self.tag.mul(self.data, self.tag.coerce(other)))
 
     __rmul__ = __mul__
 
     def inv(self) -> "RingElement":
-        """Multiplicative inverse; only defined for field tags."""
-        if self.is_zero():
-            raise DivisionByZeroError("inverse of zero")
-        k = self.tag.kind
-        if k == "Q":
-            return RingElement(self.tag, 1 / self.data)
-        if k == "ratfun":
-            n, d = self.data
-            return _ratfun(self.tag, d, n)
-        if k == "numberfield":
-            g, u, _ = _pxgcd(self.data, self.tag.minpoly)
-            if len(g) != 1:
-                raise DivisionByZeroError("element is a zero divisor modulo m")
-            return RingElement(self.tag, _nf_reduce(u, self.tag.minpoly))  # g == (1,)
-        raise DivisionByZeroError("inverse not available in a polynomial ring")
+        """Multiplicative inverse: fields, and the constants of Q[x]."""
+        return RingElement(self.tag, self.tag.inv(self.data))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if self.tag.kind == "poly":
-            # closure: only division by nonzero constants stays polynomial
-            if other.is_zero():
-                raise DivisionByZeroError("division by zero")
-            if len(other.data) > 1:
-                raise DivisionByZeroError("inverse not available in a polynomial ring")
-            return self * self.tag.from_fraction(Fraction(1, other.data[0]))
-        return self * other.inv()
+        tag = self.tag
+        return RingElement(tag, tag.mul(self.data, tag.inv(tag.coerce(other))))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        tag = self.tag
+        return RingElement(tag, tag.mul(tag.coerce(other), tag.inv(self.data)))
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.tag.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return RingElement(self.tag, self.tag.power(self.data, n))
 
     # -- specialization and rendering -----------------------------------
 
     def evaluate(self, value) -> "RingElement":
         """Evaluate a poly/ratfun element at a rational parameter value."""
         value = Fraction(value)
-        target = bound_q(value, self.tag.var)
-        if self.tag.kind == "Q":
-            return RingElement(target, self.data)
-        if self.tag.kind == "poly":
-            return RingElement(target, _peval(self.data, value))
-        if self.tag.kind == "ratfun":
-            n, d = self.data
-            dv = _peval(d, value)
-            if dv == 0:
-                raise PoleError(f"pole at {self.tag.var} = {value}")
-            return RingElement(target, _peval(n, value) / dv)
-        raise TagMismatchError("cannot evaluate a numberfield element")
+        return RingElement(bound_q(value, self.tag.var), self.tag.evaluate(self.data, value))
 
     def render(self) -> str:
         """Canonical text in the coefficient grammar."""
-        k = self.tag.kind
-        if k == "Q":
-            return _render_fraction(self.data)
-        if k in ("poly", "numberfield"):
-            return _render_poly(self.data, self.tag.var)
-        n, d = self.data
-        if d == (1,):
-            return _render_poly(n, self.tag.var)
-        num = _render_poly(n, self.tag.var)
-        if _poly_term_count(n) > 1:
-            num = f"({num})"
-        den = _render_poly(d, self.tag.var)
-        if not _is_bare_power(d):
-            den = f"({den})"
-        return f"{num}/{den}"
+        return self.tag.render(self.data)
 
     def __repr__(self):
         return f"<{self.render()}>"
 
 
-def _ratfun(tag: RingTag, num: Coeffs, den: Coeffs) -> RingElement:
-    if not den:
-        raise DivisionByZeroError("zero denominator")
-    if not num:
-        return RingElement(tag, ((), (1,)))
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    if den[-1] != 1:
-        inv = Fraction(1, den[-1])
-        num, den = _pscale(num, inv), _pscale(den, inv)
-    return RingElement(tag, (num, den))
-
-
-def ring_element(tag: RingTag, value) -> RingElement:
-    """Coerce an int/Fraction/string into ``tag``."""
-    if isinstance(value, RingElement):
-        if value.tag != tag:
-            raise TagMismatchError(f"{value.tag} vs {tag}")
-        return value
-    if isinstance(value, str):
-        return parse_coefficient(value, tag)
-    return tag.from_fraction(value)
-
-
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _render_fraction(q: Fraction) -> str:
-    return str(q)
 
 
 def _poly_term_count(cs: Coeffs) -> int:
@@ -498,16 +511,16 @@ def _render_poly(cs: Coeffs, var: str) -> str:
         if c == 0:
             continue
         if k == 0:
-            body = _render_fraction(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = var if k == 1 else f"{var}^{k}"
         else:
-            body = f"{_render_fraction(abs(c))}*{var}" + ("" if k == 1 else f"^{k}")
+            body = f"{str(abs(c))}*{var}" + ("" if k == 1 else f"^{k}")
         if not parts:
             # a leading negative sign must live inside the integer literal
             if c < 0:
                 if k == 0:
-                    body = _render_fraction(c)
+                    body = str(c)
                 elif abs(c) == 1:
                     body = f"-1*{body}"
                 else:

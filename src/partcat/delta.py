@@ -75,13 +75,13 @@ def x_n(n: int, ring: RingTag = POLY_T) -> Morphism:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    terms: Dict[PartitionDiagram, RingElement] = {}
+    terms: Dict[PartitionDiagram, int] = {}
     for blocks in set_partitions(n):
         weight = mobius_coarsening(blocks)
         merged = tuple(
             tuple(sorted([i for i in blk] + [n + i for i in blk])) for blk in blocks
         )
-        terms[PartitionDiagram(n, n, merged)] = ring.from_fraction(weight)
+        terms[PartitionDiagram(n, n, merged)] = weight
     return Morphism(n, n, ring, terms)
 
 
@@ -117,11 +117,12 @@ def theta(f: Morphism, j: int, variant: str) -> Morphism:
     n = f.source if add_source else f.target
     if not 1 <= j <= n:
         raise ValueError(f"j = {j} out of range 1..{n}")
-    terms: Dict[PartitionDiagram, RingElement] = {}
+    add = f.ring.add
+    terms: dict = {}
     for d, c in f.terms.items():
         nd = _theta_diagram(d, j, add_source, add_target)
-        terms[nd] = terms[nd] + c if nd in terms else c
-    return Morphism(
+        terms[nd] = add(terms[nd], c) if nd in terms else c
+    return Morphism.from_payloads(
         f.source + (1 if add_source else 0),
         f.target + (1 if add_target else 0),
         f.ring,
@@ -559,6 +560,8 @@ def object_split_check(d: int, cap: int = 3) -> VerificationReport:
     (ii) the d+1 point configuration has dimension zero at t = d, and
     (iii) the relative dimension ratio is t-(d+1), hence -1 at t = d.
     """
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     if d > cap:
         raise CapExceededError(f"object_split_check capped at d <= {cap}")
     n = d + 1
@@ -573,9 +576,7 @@ def object_split_check(d: int, cap: int = 3) -> VerificationReport:
     at_d = dim_delta.evaluate(d)
     report.add("dim at t = d", at_d, at_d.tag.zero())
 
-    ratio_top = RingElement(RATFUN_T, (trace_x(n + 1, ring).data, (1,)))
-    ratio_bot = RingElement(RATFUN_T, (dim_delta.data, (1,)))
-    ratio = ratio_top / ratio_bot
+    ratio = trace_x(n + 1, RATFUN_T) / trace_x(n, RATFUN_T)
     expected = RATFUN_T.parameter() - RATFUN_T.from_fraction(n)
     report.add("relative dimension = t - (d+1)", ratio, expected)
     value = ratio.evaluate(d)

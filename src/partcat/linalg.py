@@ -3,9 +3,10 @@
 :class:`Span` is an incrementally built row space of sparse vectors
 (dicts {key: scalar}) over an exact field.  Keys may be any orderable
 values; the pivot of each stored row is its smallest key.  Scalars are
-raw payloads: ``Fraction`` over Q, :class:`RingElement` otherwise.  Each
-stored row also records which of the added vectors it combines, so a
-vector in the span can be written in the added vectors.
+payloads of one ring, the ``RingTag`` each routine is given, and all
+arithmetic and zero tests go through that ring.  Each stored row also
+records which of the added vectors it combines, so a vector in the span
+can be written in the added vectors.
 
 :func:`kernel` (right kernel of a dense matrix, for the radical) and
 :func:`rank` are built on the same reduction.
@@ -15,13 +16,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from .coeff import RingTag
+
 
 class Span:
-    """Row space over the field with ``zero`` and ``one``, one add at a time."""
+    """Row space over the field ``ring``, one add at a time."""
 
-    def __init__(self, zero, one):
-        self.zero = zero
-        self.one = one
+    def __init__(self, ring: RingTag):
+        self.ring = ring
         self.rows: list = []  # (pivot, row scaled to pivot one, {add index: coefficient})
         self.count = 0  # add calls so far, rejected ones included
 
@@ -36,19 +38,21 @@ class Span:
         ``taken``, if given.
         """
         vec = dict(vec)
-        zero = self.zero
+        ring = self.ring
+        add, sub, mul, is_zero, zero = ring.add, ring.sub, ring.mul, ring.is_zero, ring.zero_payload
         for pivot, row, combo in self.rows:
             c = vec.get(pivot)
-            if c:
-                for k, v in row.items():
-                    w = vec.get(k, zero) - c * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
-                if taken is not None:
-                    for idx, v in combo.items():
-                        taken[idx] = taken.get(idx, zero) + c * v
+            if c is None or is_zero(c):
+                continue
+            for k, v in row.items():
+                w = sub(vec.get(k, zero), mul(c, v))
+                if is_zero(w):
+                    vec.pop(k, None)
+                else:
+                    vec[k] = w
+            if taken is not None:
+                for idx, v in combo.items():
+                    taken[idx] = add(taken.get(idx, zero), mul(c, v))
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -59,11 +63,13 @@ class Span:
         self.count += 1
         if not vec:
             return False
+        ring = self.ring
+        mul, neg = ring.mul, ring.neg
         pivot = min(vec)
-        inv = self.one / vec[pivot]
-        combo = {idx: -v * inv for idx, v in taken.items()}
+        inv = ring.inv(vec[pivot])
+        combo = {idx: mul(neg(v), inv) for idx, v in taken.items()}
         combo[index] = inv
-        self.rows.append((pivot, {k: v * inv for k, v in vec.items()}, combo))
+        self.rows.append((pivot, {k: mul(v, inv) for k, v in vec.items()}, combo))
         return True
 
     def coordinates(self, vec: dict) -> Optional[list]:
@@ -72,7 +78,7 @@ class Span:
         taken: dict = {}
         if self._reduce(vec, taken):
             return None
-        out = [self.zero] * self.count
+        out = [self.ring.zero_payload] * self.count
         for idx, v in taken.items():
             out[idx] = v
         return out
@@ -84,17 +90,22 @@ class Span:
         return self._reduce(vec)
 
 
-def kernel(rows: Sequence[Sequence], zero, one) -> List[dict]:
-    """Right kernel of a dense matrix, as sparse dicts over its columns.
+def _sparse_rows(rows: Sequence[Sequence], ring: RingTag) -> List[dict]:
+    is_zero = ring.is_zero
+    return [{j: x for j, x in enumerate(r) if not is_zero(x)} for r in rows]
+
+
+def kernel(rows: Sequence[Sequence], ring: RingTag) -> List[dict]:
+    """Right kernel of a dense matrix over ``ring``, as sparse dicts over its columns.
 
     The rows are reduced to reduced echelon form R; for each free column j
     (ascending) the basis vector is {j: one, p: -R[p][j]} over the pivot
     columns p (ascending) where R[p][j] is nonzero.
     """
-    span = Span(zero, one)
-    for r in rows:
-        span.add({j: x for j, x in enumerate(r) if x})
-    done = Span(zero, one)  # back-substitution, largest pivot first
+    span = Span(ring)
+    for vec in _sparse_rows(rows, ring):
+        span.add(vec)
+    done = Span(ring)  # back-substitution, largest pivot first
     for pivot, row, _ in sorted(span.rows, key=lambda entry: entry[0], reverse=True):
         done.rows.append((pivot, done.residual(row), {}))
     echelon = {pivot: row for pivot, row, _ in done.rows}
@@ -103,20 +114,16 @@ def kernel(rows: Sequence[Sequence], zero, one) -> List[dict]:
     for j in range(len(rows[0]) if rows else 0):
         if j in echelon:
             continue
-        vec = {j: one}
+        vec = {j: ring.one_payload}
         for p in pivots:
             c = echelon[p].get(j)
-            if c:
-                vec[p] = -c
+            if c is not None:
+                vec[p] = ring.neg(c)
         basis.append(vec)
     return basis
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a dense matrix of Fractions or RingElements over one field."""
-    vecs = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    entry = next((x for vec in vecs for x in vec.values()), None)
-    if entry is None:
-        return 0
-    span = Span(entry - entry, entry**0)
-    return sum(span.add(vec) for vec in vecs)
+def rank(rows: Sequence[Sequence], ring: RingTag) -> int:
+    """Rank of a dense matrix of payloads of the field ``ring``."""
+    span = Span(ring)
+    return sum(span.add(vec) for vec in _sparse_rows(rows, ring))

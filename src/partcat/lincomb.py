@@ -1,12 +1,16 @@
 """Finite linear combinations of diagrams: the core both diagram kinds share.
 
 A morphism a -> b is a dict {diagram: nonzero coefficient} over one exact
-coefficient ring.  Partition diagrams (``pcat``) and planar matchings
-(``tl``) differ only in their diagram-level kernels, which each kind
-supplies as a :class:`DiagramKind`.  Sums, scalar multiples, composition,
-tensor product, duality, trace, specialization, negligibility and JSON
-interchange are implemented here once.  Composition multiplies by
-parameter^l, where l counts the closed components the stacking creates.
+coefficient ring.  The coefficients are payloads of that ring, and every
+sum, product and zero test goes through the ring (see
+:class:`~partcat.coeff.RingTag`); the constructor, ``scale`` and ``trace``
+take and give boxed :class:`~partcat.coeff.RingElement` values.  Partition
+diagrams (``pcat``) and planar matchings (``tl``) differ only in their
+diagram-level kernels, which each kind supplies as a :class:`DiagramKind`.
+Sums, scalar multiples, composition, tensor product, duality, trace,
+specialization, negligibility and JSON interchange are implemented here
+once.  Composition multiplies by parameter^l, where l counts the closed
+components the stacking creates.
 """
 
 from __future__ import annotations
@@ -43,14 +47,15 @@ class DiagramKind:
 
 
 class _Powers(dict):
-    """exponent -> parameter^exponent in one ring, filled on demand."""
+    """exponent -> the payload parameter^exponent in one ring, filled on demand."""
 
     def __init__(self, ring: RingTag):
         super().__init__()
         self.ring = ring
 
-    def __missing__(self, exponent: int) -> RingElement:
-        value = self[exponent] = self.ring.parameter() ** exponent
+    def __missing__(self, exponent: int):
+        ring = self.ring
+        value = self[exponent] = ring.power(ring.parameter_payload(), exponent)
         return value
 
 
@@ -82,20 +87,29 @@ class LinComb:
         _BY_DOC_KIND[cls.kind.doc_kind] = cls
 
     def __init__(self, source: int, target: int, ring: RingTag, terms=None):
+        """Coefficients are elements of ``ring`` or rationals."""
+        coerce = ring.coerce
+        self._fill(source, target, ring, {d: coerce(c) for d, c in (terms or {}).items()})
+
+    @classmethod
+    def from_payloads(cls, source: int, target: int, ring: RingTag, terms: dict):
+        """A morphism whose coefficients are already payloads of ``ring``."""
+        out = object.__new__(cls)
+        out._fill(source, target, ring, terms)
+        return out
+
+    def _fill(self, source: int, target: int, ring: RingTag, terms: dict):
         self.source = source
         self.target = target
         self.ring = ring
+        is_zero = ring.is_zero
         store: dict = {}
-        for diagram, coeff in (terms or {}).items():
+        for diagram, coeff in terms.items():
             if not isinstance(diagram, self.kind.diagram):
                 raise TagMismatchError(f"{type(diagram).__name__} in a {self.kind.name} morphism")
             if diagram.bottom != source or diagram.top != target:
                 raise ValueError("diagram sizes do not match the morphism")
-            if not isinstance(coeff, RingElement):
-                coeff = ring.from_fraction(coeff)
-            elif coeff.tag != ring:
-                raise TagMismatchError(f"{coeff.tag} vs {ring}")
-            if coeff:
+            if not is_zero(coeff):
                 store[diagram] = coeff
         self.terms = store
 
@@ -135,7 +149,8 @@ class LinComb:
         name = type(self).__name__
         if self.is_zero():
             return f"{name}({self.source}->{self.target}; 0)"
-        body = " + ".join(f"({c.render()})*{d!r}" for d, c in self.sorted_terms())
+        render = self.ring.render
+        body = " + ".join(f"({render(c)})*{d!r}" for d, c in self.sorted_terms())
         return f"{name}({body})"
 
     # -- linear structure -------------------------------------------------
@@ -144,32 +159,34 @@ class LinComb:
         self._require_same(other)
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("size mismatch in morphism addition")
+        add, is_zero = self.ring.add, self.ring.is_zero
         terms = dict(self.terms)
         for d, c in other.terms.items():
             acc = terms.get(d)
-            merged = c if acc is None else acc + c
-            if merged:
-                terms[d] = merged
-            else:
+            merged = c if acc is None else add(acc, c)
+            if is_zero(merged):
                 terms.pop(d, None)
+            else:
+                terms[d] = merged
         return self._new(self.source, self.target, terms)
 
     def __neg__(self):
-        return self.scale(-1)
+        neg = self.ring.neg
+        return self._new(self.source, self.target, {d: neg(c) for d, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        if not isinstance(c, RingElement):
-            c = self.ring.from_fraction(c)
-        elif c.tag != self.ring:
-            raise TagMismatchError(f"{c.tag} vs {self.ring}")
+        """c times self, for c an element of the ring or a rational."""
+        ring = self.ring
+        c = ring.coerce(c)
+        mul, is_zero = ring.mul, ring.is_zero
         terms = {}
-        if c:
+        if not is_zero(c):
             for d, x in self.terms.items():
-                y = x * c
-                if y:
+                y = mul(x, c)
+                if not is_zero(y):
                     terms[d] = y
         return self._new(self.source, self.target, terms)
 
@@ -187,30 +204,33 @@ class LinComb:
                 f"{other.source}->{other.target}"
             )
         compose = self.kind.compose
-        powers = _powers(self.ring)
+        ring = self.ring
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        powers = _powers(ring)
         acc: dict = {}
         for fd, fc in other.terms.items():
             for gd, gc in self.terms.items():
                 diagram, loops = compose(gd, fd)
-                coeff = fc * gc
+                coeff = mul(fc, gc)
                 if loops:
-                    coeff = coeff * powers[loops]
+                    coeff = mul(coeff, powers[loops])
                 old = acc.get(diagram)
-                merged = coeff if old is None else old + coeff
-                if merged:
-                    acc[diagram] = merged
-                else:
+                merged = coeff if old is None else add(old, coeff)
+                if is_zero(merged):
                     acc.pop(diagram, None)
+                else:
+                    acc[diagram] = merged
         return self._new(other.source, self.target, acc)
 
     def tensor(self, other):
         self._require_same(other)
         tensor = self.kind.tensor
+        mul, is_zero = self.ring.mul, self.ring.is_zero
         acc = {}
         for fd, fc in self.terms.items():
             for gd, gc in other.terms.items():
-                coeff = fc * gc
-                if coeff:
+                coeff = mul(fc, gc)
+                if not is_zero(coeff):
                     # distinct pairs of diagrams have distinct tensor products
                     acc[tensor(fd, gd)] = coeff
         return self._new(self.source + other.source, self.target + other.target, acc)
@@ -223,45 +243,29 @@ class LinComb:
         if self.source != self.target:
             raise ValueError("trace requires an endomorphism")
         closure = self.kind.closure
-        powers = _powers(self.ring)
-        total = self.ring.zero()
+        ring = self.ring
+        add, mul = ring.add, ring.mul
+        powers = _powers(ring)
+        total = ring.zero_payload
         for d, c in self.terms.items():
-            total = total + c * powers[closure(d)]
-        return total
+            total = add(total, mul(c, powers[closure(d)]))
+        return RingElement(ring, total)
 
     def specialize(self, value):
         """Evaluate all coefficients at a rational parameter value."""
-        if self.ring.kind not in ("poly", "ratfun"):
+        ring = self.ring
+        if ring.kind not in ("poly", "ratfun"):
             raise TagMismatchError("specialize applies to poly/ratfun morphisms")
-        tag = bound_q(Fraction(value), self.ring.var)
-        terms = {d: c.evaluate(value) for d, c in self.terms.items()}
-        return type(self)(self.source, self.target, tag, terms)
-
-
-def compose(g: LinComb, f: LinComb) -> LinComb:
-    """g after f."""
-    return g @ f
-
-
-def tensor(f: LinComb, g: LinComb) -> LinComb:
-    return f.tensor(g)
-
-
-def dual(f: LinComb) -> LinComb:
-    return f.dual()
-
-
-def trace(f: LinComb) -> RingElement:
-    return f.trace()
-
-
-def specialize(f: LinComb, value) -> LinComb:
-    return f.specialize(value)
+        value = Fraction(value)
+        terms = {d: ring.evaluate(c, value) for d, c in self.terms.items()}
+        return type(self).from_payloads(
+            self.source, self.target, bound_q(value, ring.var), terms
+        )
 
 
 def negligible(f: LinComb, cap: Optional[int] = None) -> bool:
     """True iff trace(g . f) = 0 for every basis diagram g in Hom(target, source)."""
-    one = f.ring.one()
+    one = f.ring.one_payload
     for d in f.kind.basis(f.target, f.source, cap):
         if (f._new(f.target, f.source, {d: one}) @ f).trace():
             return False
@@ -277,7 +281,7 @@ def _tag_to_json(ring: RingTag, obj: dict):
     if ring.kind == "Q" and ring.value is not None:
         obj["t"] = str(ring.value)
     if ring.kind == "numberfield":
-        obj["minpoly"] = RingElement(RingTag("poly", ring.var), ring.minpoly).render()
+        obj["minpoly"] = RingTag("poly", ring.var).render(ring.minpoly)
 
 
 def _tag_from_json(obj: dict, var: str) -> RingTag:
@@ -332,8 +336,9 @@ def to_dict(m: LinComb) -> dict:
     obj["source"] = m.source
     obj["target"] = m.target
     _tag_to_json(m.ring, obj)
+    render = m.ring.render
     obj["terms"] = [
-        {kind.field: [list(p) for p in d.parts], "coeff": c.render()}
+        {kind.field: [list(p) for p in d.parts], "coeff": render(c)}
         for d, c in m.sorted_terms()
     ]
     return obj
@@ -372,7 +377,7 @@ def from_dict(obj, cls: Optional[type] = None) -> LinComb:
             diagram = cls.kind.diagram(a, b, _parts(item[field], a + b))
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"bad {field}: {exc}", f"{where}/{field}") from exc
-        coeff = parse_coefficient(item["coeff"], ring)
+        coeff = ring.coerce(parse_coefficient(item["coeff"], ring))
         old = terms.get(diagram)
-        terms[diagram] = coeff if old is None else old + coeff
-    return cls(a, b, ring, terms)
+        terms[diagram] = coeff if old is None else ring.add(old, coeff)
+    return cls.from_payloads(a, b, ring, terms)

@@ -18,7 +18,6 @@ from typing import Iterator, Optional, Sequence
 from .coeff import POLY_T, RingElement, RingTag
 from .errors import CapExceededError
 from .lincomb import DiagramKind, LinComb, from_dict, negligible, to_dict
-from .lincomb import compose, dual, specialize, tensor, trace  # noqa: F401 (public pcat names)
 
 DEFAULT_CAP = 10
 
@@ -198,7 +197,9 @@ def _closure_parts(f) -> int:
 
 
 def _hom_diagrams(a: int, b: int, cap: Optional[int] = None) -> Iterator[PartitionDiagram]:
-    """The diagrams of Hom([A_a], [A_b]), lazily, after the cap check."""
+    """The diagrams of Hom([A_a], [A_b]), lazily, after the size and cap checks."""
+    if a < 0 or b < 0:
+        raise ValueError("negative diagram sizes")
     _check_cap(a + b, cap)
     return (_raw(PartitionDiagram, a, b, word, k) for word, k in _rg_words(a + b))
 
@@ -235,7 +236,7 @@ def zero(source: int, target: int, ring: RingTag = POLY_T) -> Morphism:
 
 
 def diagram_morphism(diagram: PartitionDiagram, ring: RingTag = POLY_T, coeff=1) -> Morphism:
-    return Morphism(diagram.bottom, diagram.top, ring, {diagram: ring.from_fraction(coeff)})
+    return Morphism(diagram.bottom, diagram.top, ring, {diagram: coeff})
 
 
 def identity(n: int, ring: RingTag = POLY_T) -> Morphism:

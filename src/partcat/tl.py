@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .coeff import RATFUN_D, RingElement, RingTag
 from .errors import CapExceededError, ProjectorUndefinedError
-from .lincomb import DiagramKind, LinComb, compose, from_dict, negligible, tensor, to_dict, trace
+from .lincomb import DiagramKind, LinComb, from_dict, negligible, to_dict
 from .pcat import _closure_parts, _compose, _Diagram, _dual, _tensor
 
 DEFAULT_STRAND_CAP = 16
@@ -144,11 +144,6 @@ def tl_hom_dimension(a: int, b: int, cap: Optional[int] = None) -> int:
     return len(noncrossing_matchings(a, b, cap))
 
 
-tl_compose = compose
-tl_tensor = tensor
-tl_trace = trace
-
-
 # ---------------------------------------------------------------------------
 # quantum integers and Jones-Wenzl projectors
 
@@ -216,6 +211,8 @@ def steinberg(l: int, ring: RingTag) -> TLMorphism:
 
 def jw_negligible(n: int, ring: RingTag) -> bool:
     """Whether the n-strand projector has zero categorical trace ([n+1] = 0)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return not quantum_int(n + 1, ring)
 
 

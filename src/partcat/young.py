@@ -362,5 +362,5 @@ def pt_power_idempotent(lam: YoungDiagram, ring: RingTag = POLY_T, cap: int = 5)
     terms = {}
     for perm, coeff in element.items():
         d = PartitionDiagram(n, n, tuple((i, n + perm[i]) for i in range(n)))
-        terms[d] = ring.from_fraction(coeff)
+        terms[d] = coeff
     return Morphism(n, n, ring, terms)

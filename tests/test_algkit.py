@@ -72,6 +72,25 @@ class TestEndAlgebra:
         assert A.to_morphism(A.from_morphism(m)) == m
 
 
+@pytest.mark.parametrize(
+    "generic, at",
+    [
+        (lambda: end_algebra_tl(4), lambda v: end_algebra_tl(4, bound_q(v, "d"))),
+        (lambda: end_algebra_partition(2, None), lambda v: end_algebra_partition(2, v)),
+    ],
+    ids=["tl4-over-Qd", "p2-over-Qt"],
+)
+def test_trace_form_commutes_with_specialization(generic, at):
+    """Each trace-form entry over the rational-function field, evaluated at
+    0, 1 and 2, is the entry of the algebra built over Q there."""
+    A = generic()
+    form = A.trace_form()
+    for v in range(3):
+        B = at(v)
+        assert B.labels == A.labels
+        assert [[A.tag.evaluate(x, Fraction(v)) for x in row] for row in form] == B.trace_form()
+
+
 class TestRadical:
     def test_three_regimes(self):
         assert radical(end_algebra_partition(1, 1)) == []
@@ -344,7 +363,7 @@ def _cells(A):
 def _corruptions(A, i, j):
     """Cell (i, j) with its first coefficient doubled, and sent elsewhere."""
     k = next(k for k in range(A.dim) if k not in A.table[i][j])
-    return [_doubled(A.table[i][j]), {k: A.one}]
+    return [_doubled(A.table[i][j]), {k: A.tag.one_payload}]
 
 
 class TestAssociativityCertificate:
@@ -436,8 +455,9 @@ class TestBlockEquivalenceProfile:
                 ups = [y_cut @ u @ x_cut for u in maps]
                 downs = [x_cut @ v @ y_cut for v in hom_diagrams(y_obj, x_obj)]
                 dim = compose_rank([[u] for u in ups])
-                pairing = [[(v @ u).trace() for v in downs] for u in ups]
-                ranked = rank(pairing)
+                ring = x_cut.ring
+                pairing = [[ring.coerce((v @ u).trace()) for v in downs] for u in ups]
+                ranked = rank(pairing, ring)
                 out.append((dim, ranked))
         return out
 
@@ -455,8 +475,8 @@ class TestBlockEquivalenceProfile:
             for (m,) in rows_of_morphisms:
                 if basis is None:
                     basis = pcat.hom_basis(m.source, m.target)
-                vecs.append([m.terms.get(d, t0.zero()) for d in basis])
-            return rank(vecs)
+                vecs.append([m.terms.get(d, t0.zero_payload) for d in basis])
+            return rank(vecs, t0)
 
         p_profile = self._profile(p_objects, p_homs, p_rank)
 
@@ -489,8 +509,8 @@ class TestBlockEquivalenceProfile:
             for (m,) in rows_of_morphisms:
                 if basis is None:
                     basis = tl.noncrossing_matchings(m.source, m.target)
-                vecs.append([m.terms.get(d, qm1.zero()) for d in basis])
-            return rank(vecs)
+                vecs.append([m.terms.get(d, qm1.zero_payload) for d in basis])
+            return rank(vecs, qm1)
 
         tl_profile = self._profile(tl_objects, tl_homs, tl_rank)
 

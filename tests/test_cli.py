@@ -126,6 +126,20 @@ class TestExitCodes:
     def test_gram_cap_is_three(self, capsys):
         assert run(capsys, "gram", "--n", "7")[0] == 3
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gram", "--n", "-1"], "negative diagram sizes"),
+            (["verify", "--family", "object_split", "--d", "-1"], "d must be nonnegative"),
+            (["tl", "negligible", "--n", "-1"], "n must be nonnegative"),
+        ],
+        ids=["gram", "object-split", "tl-negligible"],
+    )
+    def test_negative_parameter_is_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestVerbs:
     def test_trace(self, capsys, morphism_file):

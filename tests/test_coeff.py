@@ -371,6 +371,47 @@ OPS = st.sampled_from(["+", "-", "*", "/", "inv", "**", "roundtrip"])
 
 
 @pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=["Qt", "Qratfun", "nf-cubic", "Q-at-5/2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_payload_functions_agree_with_boxed_arithmetic(tag, data):
+    """The ring's functions on bare payloads give the payloads of the boxed results."""
+    a, b = data.draw(elements_of(tag)), data.draw(elements_of(tag))
+    x, y = tag.coerce(a), tag.coerce(b)
+    assert tag.add(x, y) == (a + b).data
+    assert tag.sub(x, y) == (a - b).data
+    assert tag.sub(tag.embed(1), x) == (1 - a).data
+    assert tag.mul(x, y) == (a * b).data
+    assert tag.neg(x) == (-a).data
+    assert tag.is_zero(x) == a.is_zero() == (a == tag.zero())
+    assert tag.is_zero(tag.sub(x, x)) and tag.sub(x, x) == tag.zero_payload
+    assert tag.render(x) == a.render()
+    assert tag.embed(3) == tag.from_fraction(3).data == tag.coerce(3)
+    assert tag.one_payload == tag.one().data and tag.parameter_payload() == tag.parameter().data
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    assert tag.power(x, k) == (a**k).data
+    if tag.is_field and not a.is_zero():
+        assert tag.inv(x) == a.inv().data
+        assert tag.mul(y, tag.inv(x)) == (b / a).data
+    if tag.kind != "numberfield":
+        try:
+            want = a.evaluate(3).data
+        except PoleError:
+            with pytest.raises(PoleError):
+                tag.evaluate(x, Fraction(3))
+        else:
+            assert tag.evaluate(x, Fraction(3)) == want
+
+
+def test_ratfun_zero_payload_is_truthy_but_zero():
+    """Containers must ask the ring, never a payload's truth value."""
+    zero = RATFUN_T.zero_payload
+    assert zero and RATFUN_T.is_zero(zero) and not RATFUN_T.zero()
+    t = RATFUN_T.parameter_payload()
+    assert RATFUN_T.is_zero(RATFUN_T.sub(t, t)) and RATFUN_T.sub(t, t) == zero
+    assert not RATFUN_T.is_zero(t) and not POLY_T.is_zero(POLY_T.parameter_payload())
+
+
+@pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=["Qt", "Qratfun", "nf-cubic", "Q-at-5/2"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_payloads_are_int_or_proper_fraction(tag, data):

@@ -45,7 +45,7 @@ class TestXn:
     def test_rational_coefficients(self):
         for n in range(5):
             for _, c in x_n(n).sorted_terms():
-                assert len(c.data) == 1  # constant polynomial
+                assert len(c) == 1  # a constant polynomial payload
 
 
 class TestTheta:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partcat.algkit import end_algebra_partition, end_algebra_tl, radical
-from partcat.coeff import RATFUN_T, RingElement, bound_q
+from partcat.coeff import QQ, RATFUN_T, bound_q
 from partcat.linalg import Span, kernel, rank
 from partcat.pcat import gram_matrix
 
@@ -44,6 +44,10 @@ def sparse(row, keys=None) -> dict:
     return {k: x for k, x in zip(keys, row) if x}
 
 
+def payloads(matrix, ring) -> list:
+    return [[ring.coerce(x) for x in row] for row in matrix]
+
+
 def sympy_nullspace(rows) -> list:
     out = []
     for vec in sympy.Matrix(rows).nullspace():
@@ -71,39 +75,40 @@ class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(rows=matrices())
     def test_equals_sympy_nullspace(self, rows):
-        basis = kernel(rows, ZERO, ONE)
+        basis = kernel(rows, QQ)
         assert basis == sympy_nullspace(rows)
         assert_kernel_key_order(basis)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=matrices())
     def test_vectors_are_annihilated(self, rows):
-        for vec in kernel(rows, ZERO, ONE):
+        for vec in kernel(rows, QQ):
             assert all(sum((r[j] * x for j, x in vec.items()), ZERO) == 0 for r in rows)
 
     def test_zero_matrix_is_all_free(self):
-        assert kernel([[ZERO] * 3] * 2, ZERO, ONE) == [{0: ONE}, {1: ONE}, {2: ONE}]
+        assert kernel([[ZERO] * 3] * 2, QQ) == [{0: ONE}, {1: ONE}, {2: ONE}]
 
 
 class TestRank:
     @settings(max_examples=200, deadline=None)
     @given(rows=matrices())
     def test_equals_sympy_rank(self, rows):
-        assert rank(rows) == sympy.Matrix(rows).rank()
+        assert rank(rows, QQ) == sympy.Matrix(rows).rank()
 
     @settings(max_examples=50, deadline=None)
     @given(rows=matrices())
     def test_ring_elements(self, rows):
-        tag = bound_q(1)
-        assert rank([[RingElement(tag, x) for x in r] for r in rows]) == rank(rows)
+        """The same matrix as payloads of a bound Q tag and of Q(t)."""
+        for tag in (bound_q(1), RATFUN_T):
+            assert rank([[tag.embed(x) for x in r] for r in rows], tag) == rank(rows, QQ)
 
     def test_rational_function_gram(self):
-        assert rank(gram_matrix(1, 1, RATFUN_T)) == 2
-        assert rank(gram_matrix(1, 1, bound_q(1))) == 1
+        assert rank(payloads(gram_matrix(1, 1, RATFUN_T), RATFUN_T), RATFUN_T) == 2
+        assert rank(payloads(gram_matrix(1, 1, bound_q(1)), bound_q(1)), bound_q(1)) == 1
 
     def test_all_zero(self):
-        assert rank([]) == 0
-        assert rank([[ZERO, ZERO]]) == 0
+        assert rank([], QQ) == 0
+        assert rank([[ZERO, ZERO]], QQ) == 0
 
 
 class TestSpan:
@@ -111,7 +116,7 @@ class TestSpan:
     @given(rows=matrices(), data=st.data())
     def test_coordinates_rebuild_and_follow_attempts(self, rows, data):
         vectors = [sparse(r) for r in rows]
-        span = Span(ZERO, ONE)
+        span = Span(QQ)
         accepted = [span.add(v) for v in vectors]
         assert span.count == len(vectors)
         assert span.dim == sum(accepted) == sympy.Matrix(rows).rank()
@@ -132,7 +137,7 @@ class TestSpan:
     @given(rows=matrices())
     def test_outside_the_span(self, rows):
         cols = len(rows[0])
-        span = Span(ZERO, ONE)
+        span = Span(QQ)
         for r in rows:
             span.add(sparse(r))
         for j in range(cols):
@@ -149,10 +154,10 @@ class TestSpan:
         cols = len(rows[0])
         keys = [(j % 2, j) for j in range(cols)]
         vectors = [sparse(r, keys) for r in rows]
-        span = Span(ZERO, ONE)
+        span = Span(QQ)
         for v in vectors:
             span.add(v)
-        assert span.dim == rank(rows)
+        assert span.dim == rank(rows, QQ)
         for pivot, row, _ in span.rows:
             assert pivot == min(row) and row[pivot] == ONE
         for v in vectors:

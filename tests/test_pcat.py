@@ -170,6 +170,11 @@ class TestHomBasisGram:
         for a, b in [(0, 0), (1, 1), (2, 2), (1, 2), (0, 4)]:
             assert len(hom_basis(a, b)) == bell_number(a + b)
 
+    @pytest.mark.parametrize("a, b", [(-1, -1), (-1, 2), (2, -1)])
+    def test_negative_sizes_are_rejected(self, a, b):
+        with pytest.raises(ValueError, match="negative diagram sizes"):
+            hom_basis(a, b)
+
     def test_rg_words_in_lexicographic_order(self):
         for n in range(9):
             want = [
@@ -193,8 +198,9 @@ class TestHomBasisGram:
         assert det == T**3 - T**2
 
     def test_gram_rank_at_one(self):
-        G = gram_matrix(1, 1, bound_q(1))
-        assert rank(G) == 1
+        ring = bound_q(1)
+        G = gram_matrix(1, 1, ring)
+        assert rank([[ring.coerce(x) for x in row] for row in G], ring) == 1
 
     def test_gram_empty(self):
         assert gram_matrix(0, 0) == [[POLY_T.one()]]
