@@ -22,6 +22,14 @@ with g in a generating set S: dim^2 |S| triples, not dim^3.  S is itself
 certified: a walk from the unit by right multiplication by S spans the
 whole algebra.  End algebras offer their standard generators (e_i; s_i,
 p_i, b_i) first; the walk adds basis elements wherever it stalls.
+
+The images of S generate the semisimple quotient Q = A/rad, so the
+center Z(Q) is their commutant: one elimination over |S| constraints,
+with no sampling and no check loop (the standard reduction of
+Friedl-Ronyai, *Polynomial time solutions of some problems in
+computational algebra*, 1985).  The split of an idempotent e takes the
+central idempotents of eQe from e Z(Q) all at once, then splits each
+matrix component by zero divisors.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q
+from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q, tag_to_json
 from .coeff import _pderiv, _pdivmod, _peval, _pgcd, _pscale  # exact coefficient-tuple helpers
 from .errors import (
     AmbiguousSummandError,
@@ -42,7 +50,7 @@ from .errors import (
     TagMismatchError,
 )
 from .linalg import Span, kernel, rank
-from .lincomb import _powers, _tag_to_json, to_dict
+from .lincomb import _powers, to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
 from . import pcat, tl
@@ -384,7 +392,9 @@ class _Quotient:
         self.rad_span = span
         rad_pivots = {p for p, _, _ in span.rows}
         self.coords = [i for i in range(A.dim) if i not in rad_pivots]
+        self.basis = [{i: A.tag.one_payload} for i in self.coords]  # each is its own projection
         self.unit = self.project(A.unit)
+        self.center = None  # a basis of Z(A/rad), once a split asks for it
 
     @property
     def dim(self):
@@ -490,21 +500,17 @@ class _SplitContext:
         self.ring = Q.A.tag
         self.mul = Q.mul  # products inside the quotient
         self.rng = random.Random(seed)
-        self.q_field = self.ring.kind == "Q"  # splitting factors over Q only
 
     def minpoly(self, x: dict, unit: dict) -> List[Fraction]:
         """Monic minimal polynomial of x in the unital corner with unit."""
         ring = self.ring
         span = Span(ring)
-        powers = [unit]
         span.add(unit)
-        cur = unit
-        while True:
+        cur = self.mul(unit, x)
+        while span.add(cur):
             cur = self.mul(cur, x)
-            if not span.add(cur):
-                coords = span.coordinates(cur)[: len(powers)]  # drop cur's rejected add
-                return [ring.neg(c) for c in coords] + [ring.one_payload]
-            powers.append(cur)
+        coords = span.coordinates(cur)[:-1]  # drop cur's rejected add
+        return [ring.neg(c) for c in coords] + [ring.one_payload]
 
     def poly_at(self, coeffs: Sequence, x: dict, unit: dict) -> dict:
         """The polynomial with rational coefficients ``coeffs`` at x."""
@@ -515,85 +521,62 @@ class _SplitContext:
                 acc = self.A.add(acc, self.A.scale(unit, c))
         return acc
 
-    def center_of(self, basis: List[dict], unit: dict) -> List[dict]:
-        """Center of the span (a unital subalgebra) by commutant descent.
+    def center_of(self, e: dict) -> List[dict]:
+        """A basis of the center of the corner eQe, for Q = A/rad.
 
-        Commuting with a couple of seeded combinations usually pins the
-        center; certification against the whole basis feeds any offender
-        back as a new constraint, so the result is exact, not heuristic.
+        Z(Q) is the commutant of the images of ``A.generators``, which
+        generate Q; it is computed once per quotient.  In a semisimple
+        algebra e cuts each simple block to a smaller simple block, so
+        Z(eQe) = e Z(Q).
         """
+        Q, one = self.Q, self.ring.one_payload
+        if Q.center is None:
+            Q.center = self._commutant([Q.project({g: one}) for g in self.A.generators])
+        if e == Q.unit:
+            return Q.center
+        span = Span(self.ring)
+        return [z for z in (self.mul(e, z) for z in Q.center) if span.add(z)]
 
-        trials = [self._random_combination(basis, 9), self._random_combination(basis, 9)]
-        candidates = list(basis)
-        while True:
-            candidates = self._commutant(candidates, trials)
-            offender = self._certify_center(candidates, basis)
-            if offender is None:
-                return candidates
-            trials.append(offender)
+    def _commutant(self, generators: List[dict]) -> List[dict]:
+        """A basis of the elements of Q that commute with the generators.
 
-    def _commutant(self, candidates: List[dict], trials: List[dict]) -> List[dict]:
-        """Intersection of span(candidates) with the commutant of trials.
-
-        Augmented elimination: commutator coordinates sort before the
-        bookkeeping coordinates, so a row reduced to pure bookkeeping is
-        a kernel combination of the candidates.
+        Augmented elimination over the Q-basis: commutator coordinates
+        sort before the bookkeeping coordinates, so a row reduced to pure
+        bookkeeping is a kernel combination of the basis.
         """
-        if not candidates:
-            return []
-        ring = self.ring
+        ring, basis = self.ring, self.Q.basis
         elim = Span(ring)
         combos = []
-        for idx, v in enumerate(candidates):
+        for idx, v in enumerate(basis):
             row: dict = {(1, idx, 0): ring.one_payload}
-            for tno, y in enumerate(trials):
+            for gno, y in enumerate(generators):
                 comm = self.A.sub(self.mul(v, y), self.mul(y, v))
                 for k, c in comm.items():
-                    row[(0, tno, k)] = c
+                    row[(0, gno, k)] = c
             red = elim.residual(row)
             if any(key[0] == 0 for key in red):
                 elim.add(red)
-            else:
-                combo = _combine(ring, {key[1]: c for key, c in red.items()}, candidates)
-                if combo:
-                    combos.append(combo)
-        span = Span(ring)
-        basis = []
-        for z in combos:
-            if span.add(z):
-                basis.append(z)
-        return basis
+            else:  # basis[idx] plus earlier basis vectors: nonzero and independent
+                combos.append(_combine(ring, {key[1]: c for key, c in red.items()}, basis))
+        return combos
 
-    def _certify_center(self, center: List[dict], basis: List[dict]) -> Optional[dict]:
-        for z in center:
-            for v in basis:
-                if self.mul(z, v) != self.mul(v, z):
-                    return v
-        return None
-
-    # -- main recursion ---------------------------------------------------
+    # -- splitting ----------------------------------------------------------
 
     def split_groups(self, e: dict, corner: List[dict]) -> List[List[dict]]:
         """Primitive idempotents refining e, grouped by matrix component.
 
-        Idempotents in one group are conjugate modulo the radical, so
-        their images are isomorphic summands.
+        The center of eQe yields every central primitive idempotent at
+        once; each component is then split by zero divisors.  Idempotents
+        in one group are conjugate modulo the radical, so their images are
+        isomorphic summands.
         """
         if len(corner) <= 1:
             return [[e]]
-        if not self.q_field:
-            raise SplitError(
-                f"idempotent refinement is only supported over Q, not {self.A.tag.kind}"
-            )
-        center = self.center_of(corner, e)
-        components = self._central_components(center, e)
-        if len(components) == 1:
-            return [self._split_component(e, corner)]
-        groups = []
-        for comp in components:
-            sub = self._cut_corner(corner, comp, central=True)
-            groups.extend(self.split_groups(comp, sub))
-        return groups
+        if not self.ring.splits_over_q:
+            raise SplitError(f"idempotent refinement is only supported over Q, not {self.ring.name}")
+        components = self._central_components(self.center_of(e), e)
+        return [self._split_component(c, self._cut_corner(corner, c, central=True))
+                for c in components]
 
     def _central_components(self, center: List[dict], e: dict) -> List[dict]:
         """Refine e by every central element: the component idempotents."""
@@ -601,8 +584,7 @@ class _SplitContext:
         for z in center:
             nxt = []
             for p in parts:
-                zz = self.mul(self.mul(p, z), p)
-                nxt.extend(self._central_split(zz, p))
+                nxt.extend(self._central_split(self.mul(p, z), p))  # p z = p z p: z is central
             parts = nxt
         return parts
 
@@ -718,9 +700,10 @@ class IdempotentDecomposition:
 def split_idempotent(A: FinDimAlgebra, e, seed: int = 0) -> IdempotentDecomposition:
     """Refine an idempotent into primitive orthogonal idempotents.
 
-    Splitting happens in the semisimple quotient (central characters
-    first, then zero divisors inside matrix components) and the pieces
-    are lifted through the radical by the Newton iteration 3e^2 - 2e^3.
+    Splitting happens in the semisimple quotient Q: the central
+    idempotents of eQe come from e Z(Q) in one pass, then zero divisors
+    split each matrix component.  The pieces are lifted through the
+    radical by the Newton iteration 3e^2 - 2e^3.
     """
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else dict(e)
     if not e_vec:
@@ -732,27 +715,12 @@ def split_idempotent(A: FinDimAlgebra, e, seed: int = 0) -> IdempotentDecomposit
     Q = A._quotient
     ctx = _SplitContext(Q, seed)
     e_bar = Q.project(e_vec)
-    one = A.tag.one_payload
-    if e_bar == Q.unit:
-        corner = [Q.project({i: one}) for i in Q.coords]
-    else:
-        span = Span(A.tag)
-        corner = []
-        for i in Q.coords:
-            v = Q.mul(Q.mul(e_bar, {i: one}), e_bar)
-            if span.add(v):
-                corner.append(v)
+    corner = Q.basis if e_bar == Q.unit else ctx._cut_corner(Q.basis, e_bar, central=False)
     groups = ctx.split_groups(e_bar, corner)
-    prims, comp_ids = [], []
-    for gid, group in enumerate(groups):
-        for f_bar in group:
-            prims.append(f_bar)
-            comp_ids.append(gid)
+    prims = [f_bar for group in groups for f_bar in group]
+    comp_ids = [gid for gid, group in enumerate(groups) for _ in group]
     lifted = _lift_orthogonal(A, Q, e_vec, prims)
-    total: dict = {}
-    for f in lifted:
-        total = A.add(total, f)
-    if total != e_vec:
+    if reduce(A.add, lifted, {}) != e_vec:
         raise SplitError("lifted idempotents do not sum to the input")
     for i, f in enumerate(lifted):
         for g in lifted[i + 1 :]:
@@ -799,7 +767,7 @@ def algebra_to_dict(A: FinDimAlgebra) -> dict:
         return str(label) if parts is None else [list(p) for p in parts]
 
     obj = {"kind": A.kind, "dim": A.dim}
-    _tag_to_json(A.tag, obj)
+    tag_to_json(A.tag, obj)
     obj["labels"] = [label_json(lbl) for lbl in A.labels]
     render = A.tag.render
     obj["unit"] = {str(k): render(c) for k, c in sorted(A.unit.items())}

@@ -16,6 +16,7 @@ from . import algkit, delta, pcat, tl, young
 from .coeff import (
     QQ,
     RATFUN_D,
+    RING_KINDS,
     RingTag,
     bound_q,
     chebyshev_minpoly,
@@ -29,8 +30,6 @@ from .errors import (
     SchemaError,
 )
 from .lincomb import from_dict, negligible, to_dict
-
-RING_CHOICES = ("Q", "Qt", "Qratfun", "Qdelta")
 
 
 def _emit(args, payload: dict, lines):
@@ -303,6 +302,17 @@ def _cmd_tl(args) -> int:
 # parser
 
 
+def _nonnegative(text: str) -> int:
+    """A ``--bound`` value: a cap below zero is a usage error, not a cap."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partcat",
@@ -319,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", dest="output", help="write morphism JSON here")
         if ring:
-            p.add_argument("--ring", choices=RING_CHOICES)
+            p.add_argument("--ring", choices=list(RING_KINDS))
             p.add_argument("--t", help="parameter value (ring Q)")
             p.add_argument("--minpoly", help="minimal polynomial (ring Qdelta)")
         if n:
             p.add_argument("--n", type=int, required=True)
         if bound:
-            p.add_argument("--bound", type=int, default=None)
+            p.add_argument("--bound", type=_nonnegative, default=None)
 
     p = sub.add_parser("compose", help="compose two morphisms (g after f)")
     common(p, files=2, output=True)
@@ -398,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--delta", default=None, help="rational loop value")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_nonnegative, default=None)
     p.add_argument("-f", default=None)
     p.add_argument("-g", default=None)
     p.add_argument("-o", dest="output", default=None)

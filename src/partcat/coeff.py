@@ -17,7 +17,8 @@ has a unique canonical form, so equality and hashing are structural.  One
 convention holds everywhere: each tag carries the arithmetic of its
 payloads, every container in partcat holds bare payloads of one ring and
 calls its tag, and :class:`RingElement`, a payload boxed with its tag, is
-the value the public API takes and returns.
+the value the public API takes and returns.  What a ring can do and its
+JSON spelling are tag properties too: no other module reads ``kind``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     DivisionByZeroError,
     MissingParameterError,
     PoleError,
+    SchemaError,
     TagMismatchError,
 )
 
@@ -226,6 +228,8 @@ _ARITHMETIC = {
                    is_zero=lambda a: not a[0], embed=lambda q: (_const(q), (1,))),
     "numberfield": _POLY,  # mul and inv reduce modulo the tag's minpoly
 }
+RING_NAMES = {"Q": "Q", "poly": "Qt", "ratfun": "Qratfun", "numberfield": "Qdelta"}
+RING_KINDS = {v: k for k, v in RING_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +288,23 @@ class RingTag:
     @property
     def is_field(self) -> bool:
         return self.kind in ("Q", "ratfun", "numberfield")
+
+    @property
+    def generic(self) -> bool:
+        """True when the parameter is an indeterminate (poly, ratfun): no
+        quantum integer vanishes, and payloads evaluate at a rational value."""
+        return self.kind in ("poly", "ratfun")
+
+    @property
+    def splits_over_q(self) -> bool:
+        """True for Q, the one ring in which the idempotent split finds the
+        factors of a minimal polynomial (as its rational roots)."""
+        return self.kind == "Q"
+
+    @property
+    def name(self) -> str:
+        """The ring's name in JSON documents and on the command line."""
+        return RING_NAMES[self.kind]
 
     # -- payloads -------------------------------------------------------
 
@@ -400,6 +421,44 @@ def number_field(minpoly, var: str = "d") -> RingTag:
         minpoly = minpoly.data
     m = _pmonic(_trim(Fraction(c) for c in minpoly))
     return RingTag("numberfield", var, minpoly=m)
+
+
+def tag_to_json(ring: RingTag, obj: dict):
+    """Write the ring's fields (``ring``, and ``t`` or ``minpoly``) into obj."""
+    obj["ring"] = ring.name
+    if ring.value is not None:
+        obj["t"] = str(ring.value)
+    if ring.minpoly is not None:
+        obj["minpoly"] = RingTag("poly", ring.var).render(ring.minpoly)
+
+
+def tag_from_json(obj: dict, var: str) -> RingTag:
+    """The ring a document's ``ring`` (and ``t`` or ``minpoly``) fields name."""
+    name = obj.get("ring")
+    if not isinstance(name, str) or name not in RING_KINDS:
+        raise SchemaError(f"unknown ring name {name!r}", "/ring")
+    kind = RING_KINDS[name]
+    if kind == "Q":
+        if "t" not in obj:
+            return RingTag("Q", var)
+        value = obj["t"]
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise SchemaError("t must be a string or an integer", "/t")
+        try:
+            return bound_q(Fraction(value), var)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad parameter value: {exc}", "/t") from exc
+    if kind == "numberfield":
+        minpoly = obj.get("minpoly")
+        if not isinstance(minpoly, str):
+            raise SchemaError("Qdelta requires a minpoly string", "/minpoly")
+        try:
+            return number_field(minpoly, "d")
+        except CoeffParseError:
+            raise
+        except ValueError as exc:
+            raise SchemaError(f"bad minpoly: {exc}", "/minpoly") from exc
+    return RingTag(kind, var)
 
 
 # ---------------------------------------------------------------------------

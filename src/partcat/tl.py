@@ -169,7 +169,7 @@ def l_q(ring: RingTag, search_bound: int = 64) -> Optional[int]:
     within the search bound at desk scale (rational loop values vanish
     only at 0 and +-1; number fields are built from levels <= 24).
     """
-    if ring.kind in ("poly", "ratfun"):
+    if ring.generic:
         return None
     for l in range(1, search_bound + 1):
         if not quantum_int(l + 1, ring):

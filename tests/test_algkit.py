@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from partcat import algkit, pcat, tl
 from partcat.algkit import (
+    _combine,
+    _Quotient,
     _rational_roots,
+    _SplitContext,
     FinDimAlgebra,
     algebra_to_dict,
     corner_algebra,
@@ -26,7 +29,7 @@ from partcat.algkit import (
 )
 from partcat.coeff import RATFUN_D, bound_q, chebyshev_minpoly, number_field
 from partcat.errors import CapExceededError, SplitError
-from partcat.linalg import rank
+from partcat.linalg import Span, kernel, rank
 from partcat.pcat import PartitionDiagram, diagram_morphism, identity, is_negligible
 from partcat.young import YoungDiagram as Y
 
@@ -170,6 +173,104 @@ class TestSplit:
         piece = dec.idempotents[0]
         again = split_idempotent(A, piece)
         assert len(again) == 1 and again.idempotents[0] == piece
+
+    def test_split_under_cut_across_components(self):
+        A = end_algebra_partition(2, 1)
+        f1, f2 = _primitives_of_two_components(A)
+        e = A.add(f1, f2)
+        dec = split_idempotent(A, e)
+        assert len(dec) == 2
+        assert dec.component[0] != dec.component[1]
+        g1, g2 = dec.idempotents
+        assert A.is_idempotent(g1) and A.is_idempotent(g2)
+        assert A.add(g1, g2) == e
+        assert A.mul(g1, g2) == {} and A.mul(g2, g1) == {}
+
+    @pytest.mark.parametrize("param", [0, 1, 2])
+    @pytest.mark.parametrize("source, n", [("tl", 4), ("tl", 5), ("partition", 2)])
+    def test_lifted_idempotents_are_primitive(self, source, n, param):
+        # f is primitive iff fAf is local, iff fAf = Q f + f rad(A) f
+        A = _center_case(source, n, param)
+        rad = radical(A)
+        for f in split_idempotent(A, A.unit).idempotents:
+            whole = _span_dim(A.tag, (A.mul(A.mul(f, {i: A.tag.one_payload}), f) for i in range(A.dim)))
+            local = _span_dim(A.tag, (A.mul(A.mul(f, r), f) for r in rad))
+            assert whole - local == 1
+
+
+def _center_case(source, n, param):
+    if source == "tl":
+        return end_algebra_tl(n, bound_q(param, "d"))
+    return end_algebra_partition(n, param)
+
+
+def _span_dim(ring, vectors) -> int:
+    span = Span(ring)
+    return sum(span.add(v) for v in vectors)
+
+
+def _primitives_of_two_components(A):
+    """One primitive idempotent from each of the first two components."""
+    dec = split_idempotent(A, A.unit)
+    first = {}
+    for vec, comp in zip(dec.idempotents, dec.component):
+        first.setdefault(comp, vec)
+    assert len(first) >= 2
+    return first[0], first[1]
+
+
+def _brute_center(Q, basis):
+    """The elements of span(basis) that commute with every basis element,
+    from one kernel over all dim^2 commutators."""
+    ring = Q.A.tag
+    commutators = [[Q.A.sub(Q.mul(u, v), Q.mul(v, u)) for u in basis] for v in basis]
+    keys = sorted({(j, k) for j, row in enumerate(commutators) for c in row for k in c})
+    matrix = [[commutators[j][i].get(k, ring.zero_payload) for i in range(len(basis))]
+              for j, k in keys]
+    if not matrix:
+        return list(basis)  # a commutative span is its own center
+    return [_combine(ring, c, basis) for c in kernel(matrix, ring)]
+
+
+def _same_span(ring, xs, ys) -> bool:
+    span = Span(ring)
+    for x in xs:
+        span.add(x)
+    return span.dim == _span_dim(ring, ys) and all(span.contains(y) for y in ys)
+
+
+CENTER_CASES = [("tl", n, d) for n in (3, 4, 5) for d in (0, 1, 2)] + [
+    ("partition", n, t) for n in (0, 1, 2) for t in (0, 1, 2)
+]
+LOCAL_QUOTIENTS = {("partition", 0, t) for t in (0, 1, 2)} | {("partition", 1, 0)}
+
+
+class TestCenter:
+    """center_of against the commutant of the whole basis (brute force)."""
+
+    @pytest.mark.parametrize("source, n, param", CENTER_CASES)
+    def test_center_of_quotient(self, source, n, param):
+        A = _center_case(source, n, param)
+        Q = _Quotient(A)
+        center = _SplitContext(Q, 0).center_of(Q.unit)
+        assert _same_span(A.tag, center, _brute_center(Q, Q.basis))
+        for z in center:
+            for v in Q.basis:
+                assert Q.mul(z, v) == Q.mul(v, z)
+
+    @pytest.mark.parametrize("source, n, param", [c for c in CENTER_CASES if c not in LOCAL_QUOTIENTS])
+    def test_center_of_corner(self, source, n, param):
+        # e is the sum of primitives from two components, so eQe is not simple
+        A = _center_case(source, n, param)
+        Q = _Quotient(A)
+        e = Q.project(A.add(*_primitives_of_two_components(A)))
+        span = Span(A.tag)
+        corner = [w for v in Q.basis if span.add(w := Q.mul(Q.mul(e, v), e))]
+        center = _SplitContext(Q, 0).center_of(e)
+        assert _same_span(A.tag, center, _brute_center(Q, corner))
+        for z in center:
+            for v in corner:
+                assert Q.mul(z, v) == Q.mul(v, z)
 
 
 class TestCornerAlgebra:

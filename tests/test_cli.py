@@ -140,6 +140,28 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--n", "0"],
+            ["negligible", "-f", "{partition}"],
+            ["verify", "--family", "dplus1", "--n", "2"],
+            ["blocks", "--d", "1"],
+            ["tl", "negligible", "-f", "{tl}"],
+        ],
+        ids=["gram", "negligible", "verify", "blocks", "tl-negligible"],
+    )
+    def test_negative_bound_is_two(self, capsys, tmp_path, argv):
+        # a cap below zero is a usage error (2), not a cap that was hit (3)
+        files = {"partition": tmp_path / "p.json", "tl": tmp_path / "t.json"}
+        files["partition"].write_text(json.dumps(partition_doc()))
+        files["tl"].write_text(json.dumps(tl_doc()))
+        argv = [arg.format(**files) for arg in argv]
+        code, out, err = run(capsys, *argv, "--bound", "-1")
+        assert (code, out) == (2, "")
+        assert "--bound: must be nonnegative" in err
+        assert "must be nonnegative" not in run(capsys, *argv, "--bound", "0")[2]
+
 
 class TestVerbs:
     def test_trace(self, capsys, morphism_file):
