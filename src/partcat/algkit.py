@@ -50,7 +50,7 @@ from .errors import (
     TagMismatchError,
 )
 from .linalg import Span, kernel, rank
-from .lincomb import _powers, to_dict
+from .lincomb import to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
 from . import pcat, tl
@@ -270,7 +270,7 @@ def _end_algebra(cls, n: int, tag: RingTag, basis: list, generators: list) -> Fi
     ``generators`` are the diagrams tried first by the associativity check."""
     compose = cls.kind.compose
     index = {d: i for i, d in enumerate(basis)}
-    powers = _powers(tag)
+    powers = tag.powers
     table = []
     for bi in basis:
         row = []
@@ -433,9 +433,8 @@ def _rational_roots(coeffs: Sequence):
     if len(f) <= 1:
         return [], 0
     ascending = tuple(reversed(f))
-    g = _pdivmod(ascending, _pgcd(ascending, _pderiv(ascending)))[0]
-    den = math.lcm(*(c.denominator for c in g))
-    g = [int(c * den) for c in reversed(g)]
+    # the gcd is primitive over Z, so by Gauss's lemma g has integer coefficients
+    g = list(reversed(_pdivmod(ascending, _pgcd(ascending, _pderiv(ascending)))[0]))
     a = g[0]
     bound = abs(a) + max(abs(c) for c in g[1:])  # |a r| < |a| (1 + max |g_i / a|)
     monic = [1] + [c * a ** (i - 1) for i, c in enumerate(g) if i]
@@ -845,7 +844,7 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
         raise CapExceededError(f"identify_summand capped at n <= {cap}")
     A = _cached_partition_algebra(n, d)
     ring = A.tag
-    add, mul, one = ring.add, ring.mul, ring.one_payload
+    one = ring.one_payload
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else e
     if not A.is_idempotent(e_vec):
         raise ValueError("input is not idempotent")
@@ -857,9 +856,7 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
     for i, label in enumerate(A.labels):
         x = A.mul(A.mul(e_vec, {i: one}), e_vec)
         sandwich[label] = fn(x)
-    index = {label: i for i, label in enumerate(A.labels)}
-
-    powers = _powers(ring)
+    addmul, acc_value = ring.addmul, ring.acc_value
 
     def pairing_rank(mid_terms) -> int:
         """Rank of [f(e g (mid) h e)] over the Hom bases at power k."""
@@ -867,15 +864,12 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
         for h in homs_down:
             row = []
             for g in homs_up:
-                acc = ring.zero_payload
+                acc = None
                 for mid, c_mid in mid_terms:
                     gm, l1 = pcat._compose_diagrams(g, mid)
                     dm, l2 = pcat._compose_diagrams(gm, h)
-                    weight = mul(c_mid, sandwich[dm])
-                    if l1 + l2:
-                        weight = mul(weight, powers[l1 + l2])
-                    acc = add(acc, weight)
-                row.append(acc)
+                    acc = addmul(acc, c_mid, sandwich[dm], l1 + l2)
+                row.append(ring.zero_payload if acc is None else acc_value(acc))
             rows.append(row)
         return rank(rows, ring)
 

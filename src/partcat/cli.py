@@ -68,23 +68,19 @@ def _rational(text: str) -> Fraction:
     return QQ.coerce(parse_coefficient(text, QQ))
 
 
-def _ring_from_args(args, var: str = "t") -> RingTag:
-    name = getattr(args, "ring", None) or ("Qt" if var == "t" else "Qratfun")
-    tval = getattr(args, "t", None)
-    if name == "Q":
-        if tval is None:
-            raise CoeffParseError("ring Q needs --t", 0)
-        return bound_q(_rational(tval), var)
-    if name == "Qt":
-        return RingTag("poly", var)
-    if name == "Qratfun":
-        return RingTag("ratfun", var)
-    if name == "Qdelta":
-        minpoly = getattr(args, "minpoly", None)
-        if minpoly is None:
-            raise CoeffParseError("ring Qdelta needs --minpoly", 0)
-        return number_field(minpoly, "d")
-    raise CoeffParseError(f"unknown ring {name}", 0)
+def _ring_from_args(args) -> RingTag:
+    """The partition ring named by ``--ring`` (Q[t] by default)."""
+    name = args.ring or "Qt"
+    kind = RING_KINDS[name]  # argparse admits only these names
+    if kind == "Q":
+        if args.t is None:
+            raise CoeffParseError(f"ring {name} needs --t", 0)
+        return bound_q(_rational(args.t), "t")
+    if kind == "numberfield":
+        if args.minpoly is None:
+            raise CoeffParseError(f"ring {name} needs --minpoly", 0)
+        return number_field(args.minpoly, "d")
+    return RingTag(kind, "t")
 
 
 def _parse_lambda(text) -> young.YoungDiagram:

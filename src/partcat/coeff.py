@@ -19,10 +19,18 @@ payloads, every container in partcat holds bare payloads of one ring and
 calls its tag, and :class:`RingElement`, a payload boxed with its tag, is
 the value the public API takes and returns.  What a ring can do and its
 JSON spelling are tag properties too: no other module reads ``kind``.
+
+Composition and trace sum many products x*y*param^loops into one
+coefficient.  Each tag has an accumulator for such sums (``addmul`` and
+``acc_value``) that normalizes once per sum instead of once per product
+and addition: reduction modulo m happens once, and a rational-function
+sum takes one gcd.  That gcd comes from a primitive remainder sequence
+over Z (``_pgcd``), so its divisions stay in integers.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,16 +82,25 @@ def _psub(a: Coeffs, b: Coeffs) -> Coeffs:
     return _padd(a, _pneg(b))
 
 
-def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
+def _addmul_into(out: Optional[list], a: Coeffs, b: Coeffs, shift: int = 0) -> list:
+    """out += a * b * x^shift in place (a new list for None), untrimmed;
+    out grows as needed."""
+    if out is None:
+        out = []
+    if a and b:
+        grow = len(a) + len(b) - 1 + shift - len(out)
+        if grow > 0:
+            out += [0] * grow
+        nonzero = [(j, cb) for j, cb in enumerate(b) if cb]
+        for i, ca in enumerate(a, shift):
+            if ca:
+                for j, cb in nonzero:
                     out[i + j] += ca * cb
-    return _trim(out)
+    return out
+
+
+def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
+    return _trim(_addmul_into(None, a, b))
 
 
 def _pscale(a: Coeffs, c) -> Coeffs:
@@ -121,10 +138,59 @@ def _pmonic(a: Coeffs) -> Coeffs:
     return _pscale(a, Fraction(1, a[-1]))
 
 
+def _primitive(a: Coeffs) -> Coeffs:
+    """The primitive integer polynomial that is a positive rational multiple
+    of a nonzero a: denominators cleared, content taken out, leading
+    coefficient positive."""
+    den = math.lcm(*(c.denominator for c in a))
+    if den != 1:
+        a = tuple((c * den).numerator for c in a)
+    content = math.gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return a if content == 1 else tuple(c // content for c in a)
+
+
+def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
+    """A nonzero integer multiple of the remainder of a by b, for integer
+    polynomials: long division that scales the running remainder by b's
+    leading coefficient only where a step's division is not exact."""
+    r = list(a)
+    lead, nb = b[-1], len(b)
+    while len(r) >= nb:
+        top = r[-1]
+        if top % lead:
+            r = [c * lead for c in r]
+        else:
+            top //= lead
+        for i, cb in enumerate(b, len(r) - nb):
+            r[i] -= top * cb
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+    """The gcd of two polynomials over Q as a primitive integer polynomial
+    with positive leading coefficient; () when both are zero.
+
+    A primitive remainder sequence over Z (Collins 1967; Brown 1971):
+    clear denominators, take out the content, pseudo-divide, and take the
+    content out of each remainder again, so coefficients stay integers of
+    the size of the inputs'.  By Gauss's lemma, an integer polynomial
+    divided by this gcd has an integer quotient.
+    """
+    if not a or not b:
+        return _primitive(a or b) if a or b else ()
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
 
 
 def _pderiv(a: Coeffs) -> Coeffs:
@@ -192,7 +258,10 @@ def _const(q) -> Coeffs:
 
 
 def _ratfun(num: Coeffs, den: Coeffs):
-    """The canonical payload num/den: gcd-reduced, monic denominator."""
+    """The canonical payload num/den: gcd-reduced, monic denominator.
+
+    The gcd is primitive, so integer num and den divide by it in integers.
+    """
     if not num:
         return ((), (1,))
     g = _pgcd(num, den)
@@ -214,19 +283,74 @@ def _rf_neg(a):
     return (_pneg(a[0]), a[1])
 
 
+# ---------------------------------------------------------------------------
+# sums of products: acc + x*y*param^loops, normalized once at the end
+#
+# ``addmul(acc, x, y, loops)`` returns the accumulator (``acc`` is None for
+# an empty sum; a mutable one is updated in place) and ``acc_value(acc)``
+# the canonical payload of the sum.  Between the two nothing is reduced.
+# Q[t] and Q[d]/(m) sum into a coefficient list with ``_addmul_into``: the
+# parameter is the variable, so its power is a shift.
+
+
+def _addmul_ratfun(acc, x, y, loops: int) -> dict:
+    # numerators summed per pair of denominators, whose product is taken once
+    if acc is None:
+        acc = {}
+    key = (x[1], y[1])
+    acc[key] = _addmul_into(acc.get(key), x[0], y[0], loops)
+    return acc
+
+
+def _rf_value(acc: dict):
+    """The sum's payload: the groups brought over the lcm of their
+    denominators, then one gcd against the summed numerator."""
+    by_den: dict = {}
+    for (d1, d2), num in acc.items():
+        den = d2 if d1 == (1,) else d1 if d2 == (1,) else _pmul(d1, d2)
+        old = by_den.get(den)
+        by_den[den] = num if old is None else _addmul_into(old, num, (1,))
+    total, common = (), (1,)
+    for den, num in by_den.items():
+        num = _trim(num)
+        if not num:
+            continue
+        g = _pgcd(common, den)  # the denominators' gcd: small, unlike num's
+        if len(g) > 1:
+            den = _pdivmod(den, g)[0]
+            num = _pmul(num, _pdivmod(common, g)[0])
+        else:
+            num = _pmul(num, common)
+        total = _padd(_pmul(total, den), num)
+        common = _pmul(common, den)
+    return _ratfun(total, common)
+
+
+def _q_addmul(powers: "_Powers"):
+    def addmul(acc, x, y, loops):
+        p = x * y
+        if loops:
+            p *= powers[loops]
+        return p if acc is None else acc + p
+    return addmul
+
+
 _POLY = dict(zero_payload=(), one_payload=(1,), add=_padd, sub=_psub, neg=_pneg,
-             mul=_pmul, inv=_inv_poly, is_zero=operator.not_, embed=_const)
+             mul=_pmul, inv=_inv_poly, is_zero=operator.not_, embed=_const,
+             addmul=_addmul_into, acc_value=_trim)
 _ARITHMETIC = {
     "Q": dict(zero_payload=Fraction(0), one_payload=Fraction(1), add=operator.add,
               sub=operator.sub, neg=operator.neg, mul=operator.mul,
-              inv=_inv_q, is_zero=operator.not_, embed=Fraction),
+              inv=_inv_q, is_zero=operator.not_, embed=Fraction,
+              acc_value=lambda acc: acc),  # addmul multiplies by the tag's powers
     "poly": _POLY,
     "ratfun": dict(zero_payload=((), (1,)), one_payload=((1,), (1,)), add=_rf_add,
                    sub=lambda a, b: _rf_add(a, _rf_neg(b)), neg=_rf_neg,
                    mul=lambda a, b: _ratfun(_pmul(a[0], b[0]), _pmul(a[1], b[1])),
                    inv=_inv_ratfun,
-                   is_zero=lambda a: not a[0], embed=lambda q: (_const(q), (1,))),
-    "numberfield": _POLY,  # mul and inv reduce modulo the tag's minpoly
+                   is_zero=lambda a: not a[0], embed=lambda q: (_const(q), (1,)),
+                   addmul=_addmul_ratfun, acc_value=_rf_value),
+    "numberfield": _POLY,  # mul, inv and acc_value reduce modulo the tag's minpoly
 }
 RING_NAMES = {"Q": "Q", "poly": "Qt", "ratfun": "Qratfun", "numberfield": "Qdelta"}
 RING_KINDS = {v: k for k, v in RING_NAMES.items()}
@@ -251,6 +375,10 @@ class RingTag:
     ``one_payload``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``embed``
     (the payload of a rational) and ``is_zero``.  A ratfun zero payload is
     a truthy tuple, so never test a payload's own truth value.
+
+    ``addmul`` and ``acc_value`` sum products x*y*param^loops with one
+    normalization per sum (see the functions of that name above); ``powers``
+    maps an exponent to the payload param^exponent, filled on demand.
     """
 
     kind: str
@@ -275,11 +403,15 @@ class RingTag:
                 raise ValueError("minimal polynomial must be squarefree")
         elif self.minpoly is not None:
             raise ValueError("minpoly only applies to numberfield tags")
-        self.__dict__.update(_ARITHMETIC[self.kind])
-        if self.kind == "numberfield":
+        powers = _Powers(self)
+        self.__dict__.update(_ARITHMETIC[self.kind], powers=powers)
+        if self.kind == "Q":
+            self.__dict__["addmul"] = _q_addmul(powers)
+        elif self.kind == "numberfield":
             m = self.minpoly
             self.__dict__.update(mul=lambda a, b: _pdivmod(_pmul(a, b), m)[1],
-                                 inv=lambda a: _inv_nf(a, m))
+                                 inv=lambda a: _inv_nf(a, m),
+                                 acc_value=lambda acc: _pdivmod(_trim(acc), m)[1])
 
     def __reduce__(self):
         # the arithmetic is rebuilt from the fields, never pickled
@@ -393,6 +525,19 @@ class RingTag:
     def parameter(self) -> "RingElement":
         """The category parameter (t or d) as a ring element."""
         return RingElement(self, self.parameter_payload())
+
+
+class _Powers(dict):
+    """exponent -> the payload parameter^exponent of one tag, filled on demand."""
+
+    def __init__(self, ring: RingTag):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, exponent: int):
+        ring = self.ring
+        value = self[exponent] = ring.power(ring.parameter_payload(), exponent)
+        return value
 
 
 QQ = RingTag("Q")

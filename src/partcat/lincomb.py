@@ -10,7 +10,9 @@ diagram-level kernels, which each kind supplies as a :class:`DiagramKind`.
 Sums, scalar multiples, composition, tensor product, duality, trace,
 specialization, negligibility and JSON interchange are implemented here
 once.  Composition multiplies by parameter^l, where l counts the closed
-components the stacking creates.
+components the stacking creates.  Composition and trace feed every product
+into the ring's sum-of-products accumulator (``RingTag.addmul``), one per
+output diagram, and normalize each coefficient once (``acc_value``).
 """
 
 from __future__ import annotations
@@ -41,29 +43,6 @@ class DiagramKind:
     dual: Callable  # f -> its flip, cached
     closure: Callable  # endomorphism -> components of its trace closure, cached
     basis: Callable  # (a, b, cap=None) -> the Hom(a, b) basis, cap-checked
-
-
-class _Powers(dict):
-    """exponent -> the payload parameter^exponent in one ring, filled on demand."""
-
-    def __init__(self, ring: RingTag):
-        super().__init__()
-        self.ring = ring
-
-    def __missing__(self, exponent: int):
-        ring = self.ring
-        value = self[exponent] = ring.power(ring.parameter_payload(), exponent)
-        return value
-
-
-_PARAM_POWERS: Dict[RingTag, _Powers] = {}
-
-
-def _powers(ring: RingTag) -> _Powers:
-    table = _PARAM_POWERS.get(ring)
-    if table is None:
-        table = _PARAM_POWERS[ring] = _Powers(ring)
-    return table
 
 
 _BY_DOC_KIND: Dict[Optional[str], type] = {}
@@ -202,22 +181,19 @@ class LinComb:
             )
         compose = self.kind.compose
         ring = self.ring
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        powers = _powers(ring)
+        addmul, acc_value, is_zero = ring.addmul, ring.acc_value, ring.is_zero
         acc: dict = {}
+        get = acc.get
         for fd, fc in other.terms.items():
             for gd, gc in self.terms.items():
                 diagram, loops = compose(gd, fd)
-                coeff = mul(fc, gc)
-                if loops:
-                    coeff = mul(coeff, powers[loops])
-                old = acc.get(diagram)
-                merged = coeff if old is None else add(old, coeff)
-                if is_zero(merged):
-                    acc.pop(diagram, None)
-                else:
-                    acc[diagram] = merged
-        return self._new(other.source, self.target, acc)
+                acc[diagram] = addmul(get(diagram), fc, gc, loops)
+        terms = {}
+        for diagram, sums in acc.items():
+            coeff = acc_value(sums)
+            if not is_zero(coeff):
+                terms[diagram] = coeff
+        return self._new(other.source, self.target, terms)
 
     def tensor(self, other):
         self._require_same(other)
@@ -241,12 +217,11 @@ class LinComb:
             raise ValueError("trace requires an endomorphism")
         closure = self.kind.closure
         ring = self.ring
-        add, mul = ring.add, ring.mul
-        powers = _powers(ring)
-        total = ring.zero_payload
+        addmul, one = ring.addmul, ring.one_payload
+        acc = None
         for d, c in self.terms.items():
-            total = add(total, mul(c, powers[closure(d)]))
-        return RingElement(ring, total)
+            acc = addmul(acc, c, one, closure(d))
+        return RingElement(ring, ring.zero_payload if acc is None else ring.acc_value(acc))
 
     def specialize(self, value):
         """Evaluate all coefficients at a rational parameter value."""

@@ -33,6 +33,7 @@ CASES = {
     "tl-jw-3": ["tl", "jw", "--n", "3", "--json"],
     "tl-jw-5": ["tl", "jw", "--n", "5", "--json"],
     "tl-jw-6-8": ["tl", "jw", "--n", "6", "--l", "8", "--json"],
+    "tl-jw-7": ["tl", "jw", "--n", "7", "--json"],
     "compose-partition-ratfun": ["compose", "-f", PR, "-g", PR],
     "trace-partition-ratfun": ["trace", "-f", PR, "--json"],
     "compose-partition-delta": ["compose", "-f", PD, "-g", PD],

@@ -170,6 +170,16 @@ class TestJonesWenzl:
             assert (tl_e(i, n) @ f).is_zero()
             assert (f @ tl_e(i, n)).is_zero()
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_killed_idempotent_level8(self, n):
+        ring = number_field(chebyshev_minpoly(8), "d")
+        f = jw(n, ring)
+        assert (f @ f) == f
+        assert f.trace() == quantum_int(n + 1, ring)
+        for i in range(1, n):
+            assert (tl_e(i, n, ring) @ f).is_zero()
+            assert (f @ tl_e(i, n, ring)).is_zero()
+
     def test_undefined_at_vanishing_level(self):
         with pytest.raises(ProjectorUndefinedError):
             jw(3, QM1)  # [3] = 0 at level 2
