@@ -155,7 +155,7 @@ def _cmd_verify(args) -> int:
     if family == "object_split":
         if args.d is None:
             raise CoeffParseError("object_split needs --d", 0)
-        report = delta.object_split_check(args.d, cap=args.bound if args.bound else 3)
+        report = delta.object_split_check(args.d, cap=args.bound)
         return _report_exit(args, report)
     if args.n is None:
         raise CoeffParseError("verify needs --n", 0)
@@ -424,13 +424,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (CoeffParseError, SchemaError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (PartcatError, ValueError) as exc:
+    except (PartcatError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

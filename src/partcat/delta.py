@@ -5,13 +5,15 @@ diagram; its image behaves like a configuration of n distinct points.
 This module builds the associated structure maps (multiplication, unit,
 module actions, the point-insertion maps and their images ``x_{n,j}``,
 and the relative tensor realizations tau/nu) and verifies the defining
-identities as exact equalities of linear combinations over Q[t].
+identities as exact equalities of linear combinations over Q[t].  Apart
+from x_n, x_{n+1} and the x_{n,j}, each map is built the first time a
+check reads it, so a family composes only the maps it uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence
 
@@ -29,6 +31,7 @@ from .pcat import (
     mu,
     set_partitions,
     unit,
+    zero,
 )
 
 # feasibility bounds per verification family (configurable per call)
@@ -178,96 +181,107 @@ def compose_chain(factors: Sequence[Morphism]) -> Morphism:
 
 @dataclass(frozen=True)
 class DeltaMaps:
-    """All structure maps attached to the n-points object and its modules."""
+    """The structure maps attached to the n-points object and its modules.
+
+    ``x``, ``x_next`` and ``x_j`` are held; every other map is built from
+    the chain its comment names the first time it is read, then kept.
+    """
 
     n: int
     ring: RingTag
     x: Morphism  # x_n
     x_next: Morphism  # x_{n+1}
     x_j: tuple  # x_{n,j} for j = 1..n
-    mult: Morphism  # x_n mu_n (x_n (x) x_n)
-    unit: Morphism  # x_n 1_n
-    alpha: tuple  # per j: x_{n,j} Theta^j_target(x_n) x_n
-    beta: tuple  # per j: x_{n,j} Theta_j(mu_n) (x_{n,j} (x) x_{n,j})
-    phi: tuple  # per j: beta_j (alpha_j (x) x_{n,j})
-    iso: tuple  # per j: x_{n,j} Theta^j_target(id) x_n
-    iso_inv: tuple  # per j: x_n Theta^j_source(id) x_{n,j}
-    psi: Morphism  # x_{n+1} (mu_n (x) id) (x_n (x) x_{n+1})
-    tau: Morphism  # identity realization on the double module
-    nu: Morphism  # identity realization on the triple module
-    mult_plus: Morphism  # x_{n+1} (x_n (x) mu_1) tau
-    unit_plus: Morphism  # x_{n+1} (x_n (x) 1_1)
-    braid_plus: Morphism  # tau (x_n (x) beta_{1,1}) tau
-    ev_plus: Morphism  # x_n (x_n (x) ev_1) tau
-    coev_plus: Morphism  # tau (x_n (x) coev_1) x_n
+
+    @cached_property
+    def mult(self) -> Morphism:  # x_n mu_n (x_n (x) x_n)
+        return compose_chain([self.x, mu(self.n, self.ring), self.x.tensor(self.x)])
+
+    @cached_property
+    def unit(self) -> Morphism:  # x_n 1_n
+        return self.x @ unit(self.n, self.ring)
+
+    @cached_property
+    def alpha(self) -> tuple:  # per j: x_{n,j} Theta^j_target(x_n) x_n
+        return tuple(
+            compose_chain([xj, theta(self.x, j, "target"), self.x])
+            for j, xj in enumerate(self.x_j, 1)
+        )
+
+    @cached_property
+    def psi(self) -> Morphism:  # x_{n+1} (mu_n (x) id) (x_n (x) x_{n+1})
+        xn, xn1 = self.x, self.x_next
+        mun = mu(self.n, self.ring)
+        return compose_chain([xn1, mun.tensor(identity(1, self.ring)), xn.tensor(xn1)])
+
+    @cached_property
+    def tau(self) -> Morphism:  # identity realization on the double module
+        xn, xn1 = self.x, self.x_next
+        b11 = braiding(1, 1, self.ring)
+        id1 = identity(1, self.ring)
+        return compose_chain(
+            [xn.tensor(b11), xn1.tensor(id1), xn.tensor(b11), xn1.tensor(id1)]
+        )
+
+    @cached_property
+    def nu(self) -> Morphism:  # identity realization on the triple module
+        xn, xn1, ring = self.x, self.x_next, self.ring
+        return compose_chain(
+            [
+                xn.tensor(braiding(1, 2, ring)),
+                xn1.tensor(identity(2, ring)),
+                xn.tensor(braiding(2, 1, ring)),
+                self.tau.tensor(identity(1, ring)),
+            ]
+        )
+
+    @cached_property
+    def mult_plus(self) -> Morphism:  # x_{n+1} (x_n (x) mu_1) tau
+        return compose_chain([self.x_next, self.x.tensor(mu(1, self.ring)), self.tau])
+
+    @cached_property
+    def unit_plus(self) -> Morphism:  # x_{n+1} (x_n (x) 1_1)
+        return self.x_next @ self.x.tensor(unit(1, self.ring))
+
+    @cached_property
+    def braid_plus(self) -> Morphism:  # tau (x_n (x) beta_{1,1}) tau
+        return compose_chain([self.tau, self.x.tensor(braiding(1, 1, self.ring)), self.tau])
+
+    @cached_property
+    def ev_plus(self) -> Morphism:  # x_n (x_n (x) ev_1) tau
+        return compose_chain([self.x, self.x.tensor(ev(1, self.ring)), self.tau])
+
+    @cached_property
+    def coev_plus(self) -> Morphism:  # tau (x_n (x) coev_1) x_n
+        return compose_chain([self.tau, self.x.tensor(coev(1, self.ring)), self.x])
+
+    @cached_property
+    def mult_tensor_id(self) -> Morphism:
+        # (x_n (x) beta_{1,1}) (x_{n+1} (x) id_1) (x_n (x) beta_{1,1}) (mult_plus (x) id_1)
+        xn, ring = self.x, self.ring
+        b11 = braiding(1, 1, ring)
+        id1 = identity(1, ring)
+        return compose_chain(
+            [
+                xn.tensor(b11),
+                self.x_next.tensor(id1),
+                xn.tensor(b11),
+                self.mult_plus.tensor(id1),
+            ]
+        )
 
 
 def delta_maps(n: int, ring: RingTag = POLY_T) -> DeltaMaps:
-    """Build every named structure map exactly, as linear combinations."""
+    """The structure maps of the n-points object, each built on first use.
+
+    Only x_n, x_{n+1} and the x_{n,j} are built here; every other map is
+    composed exactly, as a linear combination, when a caller first reads it.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     xn = x_n(n, ring)
-    xn1 = x_n(n + 1, ring)
     xj = tuple(x_nj(n, j, ring) for j in range(1, n + 1))
-    mun = mu(n, ring)
-    id1 = identity(1, ring)
-    id2 = identity(2, ring)
-    mult = compose_chain([xn, mun, xn.tensor(xn)])
-    unit_n = xn @ unit(n, ring)
-    idn = identity(n, ring)
-
-    alpha, beta, phi, iso, iso_inv = [], [], [], [], []
-    for j in range(1, n + 1):
-        a_j = compose_chain([xj[j - 1], theta(xn, j, "target"), xn])
-        b_j = compose_chain([xj[j - 1], theta_mu(n, j, ring), xj[j - 1].tensor(xj[j - 1])])
-        alpha.append(a_j)
-        beta.append(b_j)
-        phi.append(b_j @ a_j.tensor(xj[j - 1]))
-        iso.append(compose_chain([xj[j - 1], theta(idn, j, "target"), xn]))
-        iso_inv.append(compose_chain([xn, theta(idn, j, "source"), xj[j - 1]]))
-
-    psi = compose_chain([xn1, mun.tensor(id1), xn.tensor(xn1)])
-
-    b11 = braiding(1, 1, ring)
-    tau = compose_chain(
-        [xn.tensor(b11), xn1.tensor(id1), xn.tensor(b11), xn1.tensor(id1)]
-    )
-    nu = compose_chain(
-        [
-            xn.tensor(braiding(1, 2, ring)),
-            xn1.tensor(id2),
-            xn.tensor(braiding(2, 1, ring)),
-            tau.tensor(id1),
-        ]
-    )
-    mult_plus = compose_chain([xn1, xn.tensor(mu(1, ring)), tau])
-    unit_plus = xn1 @ xn.tensor(unit(1, ring))
-    braid_plus = compose_chain([tau, xn.tensor(b11), tau])
-    ev_plus = compose_chain([xn, xn.tensor(ev(1, ring)), tau])
-    coev_plus = compose_chain([tau, xn.tensor(coev(1, ring)), xn])
-
-    return DeltaMaps(
-        n=n,
-        ring=ring,
-        x=xn,
-        x_next=xn1,
-        x_j=xj,
-        mult=mult,
-        unit=unit_n,
-        alpha=tuple(alpha),
-        beta=tuple(beta),
-        phi=tuple(phi),
-        iso=tuple(iso),
-        iso_inv=tuple(iso_inv),
-        psi=psi,
-        tau=tau,
-        nu=nu,
-        mult_plus=mult_plus,
-        unit_plus=unit_plus,
-        braid_plus=braid_plus,
-        ev_plus=ev_plus,
-        coev_plus=coev_plus,
-    )
+    return DeltaMaps(n=n, ring=ring, x=xn, x_next=x_n(n + 1, ring), x_j=xj)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +308,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, label: str, left, right):
-        if isinstance(left, Morphism):
-            diff = left - right
-            self.checks.append(Check(label, left, right, diff.is_zero(), diff))
-        else:
-            diff = left - right
-            self.checks.append(Check(label, left, right, not diff, diff))
+        diff = left - right
+        self.checks.append(Check(label, left, right, diff.is_zero(), diff))
 
     def to_dict(self) -> dict:
         return {
@@ -355,7 +365,6 @@ def verify_suite(
     maps = delta_maps(n, ring)
     xn, xn1, xj = maps.x, maps.x_next, maps.x_j
     id1 = identity(1, ring)
-    mun = mu(n, ring)
 
     if family == "deltalg":
         report.add(
@@ -374,54 +383,48 @@ def verify_suite(
 
     if family == "deltaj":
         js = [j] if j is not None else list(range(1, n + 1))
+        idn = identity(n, ring)
         for jj in js:
             if not 1 <= jj <= n:
                 raise ValueError(f"j = {jj} out of range 1..{n}")
             k = jj - 1
+            tmu = theta_mu(n, jj, ring)
             inner = compose_chain([xj[k], theta(xn, jj, "target"), maps.mult])
-            lhs = compose_chain(
-                [xj[k], theta_mu(n, jj, ring), inner.tensor(xj[k])]
-            )
+            lhs = compose_chain([xj[k], tmu, inner.tensor(xj[k])])
             rhs = compose_chain(
                 [
                     xj[k],
-                    theta_mu(n, jj, ring),
+                    tmu,
                     maps.alpha[k].tensor(
-                        compose_chain(
-                            [xj[k], theta_mu(n, jj, ring), maps.alpha[k].tensor(xj[k])]
-                        )
+                        compose_chain([xj[k], tmu, maps.alpha[k].tensor(xj[k])])
                     ),
                 ]
             )
             report.add(f"Dj1[j={jj}]", lhs, rhs)
-            idn = identity(n, ring)
-            dj2 = compose_chain(
-                [xj[k], theta(idn, jj, "target"), xn, theta(idn, jj, "source"), xj[k]]
-            )
-            report.add(f"Dj2[j={jj}]", dj2, xj[k])
-            dj3 = compose_chain(
-                [xn, theta(idn, jj, "source"), xj[k], theta(idn, jj, "target"), xn]
-            )
-            report.add(f"Dj3[j={jj}]", dj3, xn)
+            up, down = theta(idn, jj, "target"), theta(idn, jj, "source")
+            report.add(f"Dj2[j={jj}]", compose_chain([xj[k], up, xn, down, xj[k]]), xj[k])
+            report.add(f"Dj3[j={jj}]", compose_chain([xn, down, xj[k], up, xn]), xn)
         return report
 
     if family == "dplus1":
-        lhs = compose_chain([xn1, mun.tensor(id1), maps.mult.tensor(xn1)])
-        rhs = compose_chain([xn1, mun.tensor(id1), xn.tensor(maps.psi)])
+        mun_id = mu(n, ring).tensor(id1)
+        lhs = compose_chain([xn1, mun_id, maps.mult.tensor(xn1)])
+        rhs = compose_chain([xn1, mun_id, xn.tensor(maps.psi)])
         report.add("Dplus1", lhs, rhs)
         return report
 
     if family == "ortho":
+        zero_next = zero(n + 1, n + 1, ring)
         total = xn1
         for piece in xj:
             total = total + piece
         report.add("sum", xn.tensor(id1), total)
         for jj in range(1, n + 1):
-            report.add(f"x_(n,{jj}) x_(n+1) = 0", xj[jj - 1] @ xn1, zero_like(xn1))
-            report.add(f"x_(n+1) x_(n,{jj}) = 0", xn1 @ xj[jj - 1], zero_like(xn1))
+            report.add(f"x_(n,{jj}) x_(n+1) = 0", xj[jj - 1] @ xn1, zero_next)
+            report.add(f"x_(n+1) x_(n,{jj}) = 0", xn1 @ xj[jj - 1], zero_next)
         for jj in range(1, n + 1):
             for kk in range(1, n + 1):
-                expected = xj[jj - 1] if jj == kk else zero_like(xn1)
+                expected = xj[jj - 1] if jj == kk else zero_next
                 report.add(
                     f"x_(n,{jj}) x_(n,{kk})",
                     xj[jj - 1] @ xj[kk - 1],
@@ -430,48 +433,34 @@ def verify_suite(
         return report
 
     if family == "psi":
-        lhs = compose_chain(
-            [xn1, mun.tensor(id1), xn.tensor(xn1 @ xn.tensor(id1))]
-        )
-        rhs = xn1 @ maps.mult.tensor(id1)
+        idem, zero_next = xn.tensor(id1), zero(n + 1, n + 1, ring)
+        mult_id = maps.mult.tensor(id1)
+        lhs = compose_chain([xn1, mu(n, ring).tensor(id1), xn.tensor(xn1 @ idem)])
+        rhs = xn1 @ mult_id
         report.add("Psi[top]", lhs, rhs)
         for jj in range(1, n + 1):
             k = jj - 1
             lhs = compose_chain(
-                [
-                    xj[k],
-                    theta_mu(n, jj, ring),
-                    maps.alpha[k].tensor(xj[k] @ xn.tensor(id1)),
-                ]
+                [xj[k], theta_mu(n, jj, ring), maps.alpha[k].tensor(xj[k] @ idem)]
             )
-            rhs = xj[k] @ maps.mult.tensor(id1)
+            rhs = xj[k] @ mult_id
             report.add(f"Psi[j={jj}]", lhs, rhs)
         # mutual inverse checks for the column/row matrices
-        idem = xn.tensor(id1)
         summands = [xn1] + list(xj)
-        inv_psi = zero_like(idem)
+        inv_psi = zero_next
         for piece in summands:
             inv_psi = inv_psi + compose_chain([idem, piece, piece, idem])
         report.add("PsiInv Psi = id", inv_psi, idem)
         for a, pa in enumerate(summands):
             for b, pb in enumerate(summands):
                 entry = compose_chain([pa, idem, idem, pb])
-                expected = pa if a == b else zero_like(pa)
+                expected = pa if a == b else zero_next
                 report.add(f"Psi PsiInv[{a},{b}]", entry, expected)
         return report
 
     if family == "azero":
-        tau, nu = maps.tau, maps.nu
         b11 = braiding(1, 1, ring)
-        mult_tensor_id = compose_chain(
-            [
-                xn.tensor(b11),
-                xn1.tensor(id1),
-                xn.tensor(b11),
-                maps.mult_plus.tensor(id1),
-            ]
-        )
-        lhs = compose_chain([maps.mult_plus, mult_tensor_id, nu])
+        lhs = compose_chain([maps.mult_plus, maps.mult_tensor_id, maps.nu])
         rhs = compose_chain(
             [
                 maps.mult_plus,
@@ -479,7 +468,7 @@ def verify_suite(
                 maps.mult_plus.tensor(id1),
                 xn.tensor(braiding(1, 2, ring)),
                 xn1.tensor(identity(2, ring)),
-                nu,
+                maps.nu,
             ]
         )
         report.add("assoc", lhs, rhs)
@@ -499,27 +488,17 @@ def verify_suite(
         report.add("unit-right", unit_right, xn1)
         report.add(
             "comm",
-            compose_chain([maps.mult_plus, xn.tensor(b11), tau]),
+            compose_chain([maps.mult_plus, xn.tensor(b11), maps.tau]),
             maps.mult_plus,
         )
         return report
 
     if family == "nondegenerate":
-        tau = maps.tau
-        b11 = braiding(1, 1, ring)
         id_tensor_coev = compose_chain(
             [xn.tensor(braiding(2, 1, ring)), maps.coev_plus.tensor(id1), xn1]
         )
-        mult_tensor_id = compose_chain(
-            [
-                xn.tensor(b11),
-                xn1.tensor(id1),
-                xn.tensor(b11),
-                maps.mult_plus.tensor(id1),
-            ]
-        )
         trace_map = compose_chain(
-            [maps.ev_plus, maps.braid_plus, mult_tensor_id, id_tensor_coev]
+            [maps.ev_plus, maps.braid_plus, maps.mult_tensor_id, id_tensor_coev]
         )
         pairing = compose_chain(
             [xn1, (trace_map @ maps.mult_plus).tensor(id1), id_tensor_coev]
@@ -528,10 +507,6 @@ def verify_suite(
         return report
 
     raise ValueError(f"unknown verification family {family!r}")
-
-
-def zero_like(m: Morphism) -> Morphism:
-    return Morphism(m.source, m.target, m.ring, {})
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +528,7 @@ def falling_factorial(n: int, ring: RingTag = POLY_T) -> RingElement:
     return out
 
 
-def object_split_check(d: int, cap: int = 3) -> VerificationReport:
+def object_split_check(d: int, cap: Optional[int] = None) -> VerificationReport:
     """Object-level splitting of x_{d+1} (x) id and its dimension data.
 
     Checks (i) the insertion idempotents refine x_{d+1} (x) id_[pt],
@@ -562,6 +537,8 @@ def object_split_check(d: int, cap: int = 3) -> VerificationReport:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
+    if cap is None:
+        cap = 3
     if d > cap:
         raise CapExceededError(f"object_split_check capped at d <= {cap}")
     n = d + 1

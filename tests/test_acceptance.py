@@ -106,14 +106,14 @@ def test_c03_algebra_and_module_identities():
 
 def test_c04_ortho_and_psi():
     """(ortho) for n <= 4; Psi component equations and the mutual-inverse
-    matrix checks for n <= 3."""
+    matrix checks for n <= 4."""
     for n in range(5):
         report = delta.verify_suite("ortho", n)
         assert report.overall, report.summary_lines()
-    for n in range(4):
+    for n in range(5):
         report = delta.verify_suite("psi", n)
         assert report.overall, report.summary_lines()
-    _announce(4, "splitting idempotents: ortho n <= 4, Psi matrices n <= 3")
+    _announce(4, "splitting idempotents: ortho n <= 4, Psi matrices n <= 4")
 
 
 def test_c05_azero_and_nondegeneracy():

@@ -127,6 +127,17 @@ class TestExitCodes:
         assert run(capsys, "gram", "--n", "7")[0] == 3
 
     @pytest.mark.parametrize(
+        "bound, d, code",
+        [(["--bound", "0"], "1", 3), (["--bound", "1"], "1", 0), ([], "4", 3)],
+        ids=["bound-0", "bound-1", "default-cap"],
+    )
+    def test_object_split_bound(self, capsys, bound, d, code):
+        # a bound of 0 is a cap of 0; with no bound the cap is 3
+        got, _, err = run(capsys, "verify", "--family", "object_split", "--d", d, *bound)
+        assert got == code
+        assert ("capped" in err) == (code == 3)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["gram", "--n", "-1"], "negative diagram sizes"),

@@ -15,7 +15,7 @@ from partcat.delta import (
     x_nj,
 )
 from partcat.errors import CapExceededError
-from partcat.pcat import PartitionDiagram, diagram_morphism, identity
+from partcat.pcat import PartitionDiagram, diagram_morphism, identity, mu, unit
 
 M = diagram_morphism(PartitionDiagram(2, 2, ((0, 1, 2, 3),)))
 
@@ -154,8 +154,6 @@ class TestObjectSplit:
 class TestDeltaMaps:
     def test_delta_mult_unit_at_one(self):
         maps = delta_maps(1)
-        from partcat.pcat import mu, unit
-
         assert maps.mult == mu(1)
         assert maps.unit == unit(1)
 
@@ -164,3 +162,10 @@ class TestDeltaMaps:
         for n in (0, 1, 2):
             maps = delta_maps(n)
             assert (maps.tau @ maps.tau) == maps.tau
+
+    def test_maps_are_built_on_first_use(self):
+        maps = delta_maps(2)
+        assert maps.mult == maps.x @ mu(2) @ maps.x.tensor(maps.x)
+        assert "tau" not in vars(maps) and "nu" not in vars(maps)
+        assert maps.nu is maps.nu
+        assert "tau" in vars(maps)
