@@ -4,13 +4,13 @@ Endomorphism algebras of small diagram objects are captured as sparse
 structure-constant tables.  The radical is the kernel of the regular
 trace form (characteristic zero), idempotents are split in the
 semisimple quotient and Newton-lifted back, and primitive summands are
-labelled by pairing ranks against tensor powers and symmetrizer cuts.
+labelled by a nonzero pairing against tensor powers and symmetrizer cuts.
 
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
 payloads of the algebra's ring ``tag``, and all their arithmetic and zero
 tests go through that ring (see :class:`~partcat.coeff.RingTag`).  Every
 linear solve here (radical, quotient projection, spans, minimal
-polynomials, commutants, corner coordinates, pairing ranks) goes through
+polynomials, commutants, corner coordinates) goes through
 :mod:`partcat.linalg`.
 
 Building a FinDimAlgebra certifies its table: the unit is checked as a
@@ -29,17 +29,17 @@ with no sampling and no check loop (the standard reduction of
 Friedl-Ronyai, *Polynomial time solutions of some problems in
 computational algebra*, 1985).  The split of an idempotent e takes the
 central idempotents of eQe from e Z(Q) all at once, then splits each
-matrix component by zero divisors.
+matrix component by zero divisors.  The split and the labelling of its
+summands share the one quotient of each algebra.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .coeff import RATFUN_D, RATFUN_T, RingElement, RingTag, bound_q, tag_to_json
 from .coeff import _pderiv, _pdivmod, _peval, _pgcd, _pscale  # exact coefficient-tuple helpers
@@ -49,7 +49,7 @@ from .errors import (
     SplitError,
     TagMismatchError,
 )
-from .linalg import Span, kernel, rank
+from .linalg import Span, kernel
 from .lincomb import to_dict
 from .pcat import Morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
@@ -276,7 +276,8 @@ def _end_algebra(cls, n: int, tag: RingTag, basis: list, generators: list) -> Fi
         row = []
         for bj in basis:
             d, loops = compose(bi, bj)
-            row.append({index[d]: powers[loops]})
+            c = powers[loops]
+            row.append({} if tag.is_zero(c) else {index[d]: c})
         table.append(row)
     ident = cls.kind.diagram(n, n, tuple((i, n + i) for i in range(n)))
 
@@ -307,20 +308,6 @@ def end_algebra_tl(n: int, ring: Optional[RingTag] = None) -> FinDimAlgebra:
     return _end_algebra(
         tl.TLMorphism, n, tag, tl.noncrossing_matchings(n, n), tl.standard_generators(n)
     )
-
-
-def end_algebra(source: str, n: int, *, t=None, ring: Optional[RingTag] = None,
-                cut=None) -> FinDimAlgebra:
-    """Dispatching constructor: source is "partition" or "tl"."""
-    if source == "partition":
-        algebra = end_algebra_partition(n, t)
-    elif source == "tl":
-        algebra = end_algebra_tl(n, ring)
-    else:
-        raise ValueError(f"unknown end-algebra source {source!r}")
-    if cut is not None:
-        algebra = corner_algebra(algebra, cut)
-    return algebra
 
 
 def corner_algebra(A: FinDimAlgebra, e) -> FinDimAlgebra:
@@ -405,6 +392,13 @@ class _Quotient:
 
     def mul(self, x: dict, y: dict) -> dict:
         return self.project(self.A.mul(x, y))
+
+
+def _quotient(A: FinDimAlgebra) -> _Quotient:
+    """A/rad, built on first use; the split and the labelling share it."""
+    if A._quotient is None:
+        A._quotient = _Quotient(A)
+    return A._quotient
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +487,11 @@ def _divide_linear(f: List[int], p: int, q: int) -> Optional[List[int]]:
 class _SplitContext:
     """Shared state for splitting inside one semisimple quotient."""
 
-    def __init__(self, Q: _Quotient, seed: int):
+    def __init__(self, Q: _Quotient):
         self.Q = Q
         self.A = Q.A
         self.ring = Q.A.tag
         self.mul = Q.mul  # products inside the quotient
-        self.rng = random.Random(seed)
 
     def minpoly(self, x: dict, unit: dict) -> List[Fraction]:
         """Monic minimal polynomial of x in the unital corner with unit."""
@@ -630,24 +623,22 @@ class _SplitContext:
     def _proper_idempotent(self, e: dict, corner: List[dict]) -> dict:
         """An idempotent of the corner of e other than 0 and e.
 
-        A sample y whose minimal polynomial has a rational root p/q and is
-        not x - p/q gives the zero divisor q y - p e.  Any other sample is
-        redrawn, even one whose minimal polynomial is a product of
-        nonlinear factors, which a full factorization over Q could cut by.
-        No minimal polynomial met splitting End([A_n]) (n <= 3) or TL_n
-        (n <= 5) at 0, 1, 2 has a nonlinear factor.
+        Each corner basis element y is tried once, in order.  If the
+        minimal polynomial of y has a rational root p/q and is not
+        x - p/q, then q y - p e is a zero divisor, and its left ideal
+        holds the idempotent.  Elements that are scalars or have no
+        rational root are passed over, even one whose minimal polynomial
+        is a product of nonlinear factors, which a full factorization
+        over Q could cut by.  If no basis element serves, SplitError.
+        In the splits of End([A_n]) (n <= 3) and TL_3..TL_5 at 0, 1, 2,
+        the first or second element served every time.
         """
-        for attempt in range(24):
-            y = self._sample(corner, attempt)
-            if not y:
-                continue
+        for y in corner:
             roots, rest = _rational_roots(self.minpoly(y, e))
             if not roots or (len(roots) == 1 and roots[0][2] == 1 and not rest):
-                continue  # y has no rational root, or is a scalar: resample
+                continue  # y has no rational root, or is a scalar
             q, p, _ = roots[0]
-            x = self.poly_at((-p, q), y, e)
-            if not x:
-                continue
+            x = self.poly_at((-p, q), y, e)  # nonzero: y is not a scalar
             # solve x f = x with f in the left ideal (corner) x
             span = Span(self.ring)
             gens = []
@@ -664,18 +655,7 @@ class _SplitContext:
             f = _combine(self.ring, dict(enumerate(sol)), gens)
             if f and f != e and self.mul(f, f) == f:
                 return f
-        raise SplitError("failed to find a proper idempotent within the attempt bound")
-
-    def _sample(self, corner: List[dict], attempt: int) -> dict:
-        if attempt < len(corner):
-            return corner[attempt]
-        return self._random_combination(corner, 5)
-
-    def _random_combination(self, vectors: List[dict], bound: int) -> dict:
-        """A combination of vectors with seeded integer weights in [-bound, bound]."""
-        draws = [self.rng.randrange(-bound, bound + 1) for _ in vectors]
-        embed = self.ring.embed
-        return _combine(self.ring, {m: embed(c) for m, c in enumerate(draws) if c}, vectors)
+        raise SplitError("no corner basis element gives a proper idempotent")
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +676,7 @@ class IdempotentDecomposition:
         return len(self.idempotents)
 
 
-def split_idempotent(A: FinDimAlgebra, e, seed: int = 0) -> IdempotentDecomposition:
+def split_idempotent(A: FinDimAlgebra, e) -> IdempotentDecomposition:
     """Refine an idempotent into primitive orthogonal idempotents.
 
     Splitting happens in the semisimple quotient Q: the central
@@ -709,10 +689,8 @@ def split_idempotent(A: FinDimAlgebra, e, seed: int = 0) -> IdempotentDecomposit
         return IdempotentDecomposition(A, [], [], [])
     if not A.is_idempotent(e_vec):
         raise ValueError("input is not idempotent")
-    if A._quotient is None:
-        A._quotient = _Quotient(A)
-    Q = A._quotient
-    ctx = _SplitContext(Q, seed)
+    Q = _quotient(A)
+    ctx = _SplitContext(Q)
     e_bar = Q.project(e_vec)
     corner = Q.basis if e_bar == Q.unit else ctx._cut_corner(Q.basis, e_bar, central=False)
     groups = ctx.split_groups(e_bar, corner)
@@ -802,47 +780,21 @@ class SummandLabel:
     tensor_power: int
 
 
-_END_CACHE: Dict[tuple, FinDimAlgebra] = {}
-
-
-def _cached_partition_algebra(n: int, t) -> FinDimAlgebra:
-    key = (n, Fraction(t))
-    if key not in _END_CACHE:
-        _END_CACHE[key] = end_algebra_partition(n, t)
-    return _END_CACHE[key]
-
-
-def _local_functional(A: FinDimAlgebra, e_vec: dict):
-    """The scalar c with x = c e mod rad(eAe), for a primitive e."""
-    span = Span(A.tag)
-    for r in radical(A):
-        v = A.mul(A.mul(e_vec, r), e_vec)
-        span.add(v)
-    e_attempt = span.count  # attempt index the idempotent will occupy
-    if not span.add(e_vec):
-        raise ValueError("idempotent lies in the radical corner")
-
-    def functional(x: dict):
-        coords = span.coordinates(x)
-        if coords is None:
-            raise ValueError(
-                "corner element outside span(radical, e): the idempotent is not primitive"
-            )
-        return coords[e_attempt]
-
-    return functional
-
-
-def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
-    """Label the image of a primitive idempotent in End([A_n]) at t = d.
+def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
+    """Label the image of a primitive idempotent e of A = End([A_n]) at t = d.
 
     The label is the unique partition whose symmetrizer cut pairs
     nontrivially with the summand at the first tensor power where the
     summand appears; anything else raises, never a silent guess.
+
+    Pairings are read through the local functional of eAe: for x in eAe,
+    x = c e mod rad(eAe) exactly when x and c e have the same image in
+    A/rad.  An x whose image is not a multiple of e's shows that e is not
+    primitive.
     """
-    if n > cap:
-        raise CapExceededError(f"identify_summand capped at n <= {cap}")
-    A = _cached_partition_algebra(n, d)
+    if A.kind != pcat.PARTITION.name or A.tag.value is None:
+        raise ValueError("identify_summand needs End([A_n]) at a bound value of t")
+    n = A.labels[0].bottom
     ring = A.tag
     one = ring.one_payload
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else e
@@ -850,46 +802,51 @@ def identify_summand(n: int, e, d, cap: int = 3) -> SummandLabel:
         raise ValueError("input is not idempotent")
     e_mor = A.to_morphism(e_vec)
 
-    fn = _local_functional(A, e_vec)
+    Q = _quotient(A)
+    e_bar = Q.project(e_vec)
+    if not e_bar:
+        raise ValueError("the idempotent is zero")
+    key = min(e_bar)
+    e_key_inv = ring.inv(e_bar[key])
     # pairing values through each End basis diagram
     sandwich = {}
     for i, label in enumerate(A.labels):
-        x = A.mul(A.mul(e_vec, {i: one}), e_vec)
-        sandwich[label] = fn(x)
-    addmul, acc_value = ring.addmul, ring.acc_value
+        x_bar = Q.project(A.mul(A.mul(e_vec, {i: one}), e_vec))
+        c = ring.mul(x_bar.get(key, ring.zero_payload), e_key_inv)
+        if x_bar != A.scale(e_bar, c):
+            raise ValueError(
+                "corner element not a multiple of e mod the radical: the idempotent is not primitive"
+            )
+        sandwich[label] = c
+    addmul, acc_value, is_zero = ring.addmul, ring.acc_value, ring.is_zero
 
-    def pairing_rank(mid_terms) -> int:
-        """Rank of [f(e g (mid) h e)] over the Hom bases at power k."""
-        rows = []
+    def pairs(mid_terms) -> bool:
+        """Whether f(e g (mid) h e) is nonzero for some g, h in the Hom bases at power k."""
         for h in homs_down:
-            row = []
             for g in homs_up:
                 acc = None
                 for mid, c_mid in mid_terms:
                     gm, l1 = pcat._compose_diagrams(g, mid)
                     dm, l2 = pcat._compose_diagrams(gm, h)
                     acc = addmul(acc, c_mid, sandwich[dm], l1 + l2)
-                row.append(ring.zero_payload if acc is None else acc_value(acc))
-            rows.append(row)
-        return rank(rows, ring)
+                if acc is not None and not is_zero(acc_value(acc)):
+                    return True
+        return False
 
     for k in range(n + 1):
         homs_down = hom_basis(n, k)  # candidate maps X -> [A_k], pre-cut by e
         homs_up = hom_basis(k, n)
         idk = pcat.identity(k, ring).sorted_terms()[0][0]
-        if pairing_rank([(idk, one)]) == 0:
+        if not pairs([(idk, one)]):
             continue
-        winners = []
-        for lam in partitions_of(k):
-            cut = pt_power_idempotent(lam, ring)
-            r = pairing_rank(cut.terms.items())
-            if r:
-                winners.append((lam, r))
+        winners = [
+            lam for lam in partitions_of(k)
+            if pairs(pt_power_idempotent(lam, ring).terms.items())
+        ]
         if len(winners) != 1:
             raise AmbiguousSummandError(
                 f"summand at power {k} pairs with {len(winners)} labels",
-                [w[0] for w in winners],
+                winners,
             )
-        lam, r = winners[0]
-        return SummandLabel(diagram=lam, dim=e_mor.trace(), tensor_power=k)
+        return SummandLabel(diagram=winners[0], dim=e_mor.trace(), tensor_power=k)
     raise AmbiguousSummandError("summand does not pair with any tensor power", [])

@@ -220,7 +220,7 @@ def _cmd_decompose(args) -> int:
         tval = _rational(args.t)
     else:
         raise CoeffParseError("decompose needs --d or --t", 0)
-    A = algkit._cached_partition_algebra(args.n, tval)  # identify_summand reuses it
+    A = algkit.end_algebra_partition(args.n, tval)
     dec = algkit.split_idempotent(A, A.unit)
     reps = {}
     sizes = {}
@@ -229,7 +229,7 @@ def _cmd_decompose(args) -> int:
         sizes[comp] = sizes.get(comp, 0) + 1
     summands = []
     for comp in sorted(reps):
-        label = algkit.identify_summand(args.n, reps[comp], tval, cap=args.n)
+        label = algkit.identify_summand(A, reps[comp])
         summands.append(
             {
                 "lambda": list(label.diagram.parts),

@@ -181,13 +181,13 @@ def test_c09_negligibility_cross_validation():
     vanish exactly when the combinatorial predicate says so."""
     for d in range(3):
         for n in range(4):
-            A = algkit._cached_partition_algebra(n, d)
+            A = algkit.end_algebra_partition(n, d)
             dec = algkit.split_idempotent(A, A.unit)
             rep_for = {}
             for vec, comp in zip(dec.idempotents, dec.component):
                 rep_for.setdefault(comp, vec)
             labels = {
-                comp: algkit.identify_summand(n, vec, d)
+                comp: algkit.identify_summand(A, vec)
                 for comp, vec in rep_for.items()
             }
             for vec, comp in zip(dec.idempotents, dec.component):

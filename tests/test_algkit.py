@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partcat import algkit, pcat, tl
+from partcat import algkit, cli, pcat, tl
 from partcat.algkit import (
     _combine,
     _Quotient,
@@ -19,7 +19,6 @@ from partcat.algkit import (
     algebra_to_dict,
     corner_algebra,
     decomposition_to_list,
-    end_algebra,
     end_algebra_partition,
     end_algebra_tl,
     identify_summand,
@@ -54,15 +53,29 @@ class TestEndAlgebra:
         e1 = A.from_morphism(tl.tl_e(1, 2))
         assert A.mul(e1, e1) == A.scale(e1, RATFUN_D.variable())
 
-    def test_dispatch_and_caps(self):
-        assert end_algebra("partition", 1, t=1).dim == 2
-        assert end_algebra("tl", 3).dim == 5
+    def test_caps(self):
+        assert end_algebra_partition(1, 1).dim == 2
+        assert end_algebra_tl(3).dim == 5
         with pytest.raises(CapExceededError):
             end_algebra_partition(4, 0)
         with pytest.raises(CapExceededError):
             end_algebra_tl(7)
-        with pytest.raises(ValueError):
-            end_algebra("nonsense", 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: end_algebra_partition(2, 0), lambda: end_algebra_tl(4, bound_q(0, "d"))],
+        ids=["partition-t0", "tl-d0"],
+    )
+    def test_no_zero_coefficients_at_zero_parameter(self, build):
+        A = build()
+        assert not any(A.tag.is_zero(c) for row in A.table for cell in row for c in cell.values())
+        assert any(cell == {} for row in A.table for cell in row)  # loops at 0 vanish
+
+    def test_zero_product_dumps_as_empty_cell(self):
+        A = end_algebra_partition(1, 0)
+        e = A.from_morphism(diagram_morphism(E_DIAGRAM, A.tag))
+        (e_index,) = e
+        assert algebra_to_dict(A)["structure"][e_index][e_index] == []
 
     def test_unit_is_identity_diagram(self):
         A = end_algebra_partition(2, 1)
@@ -252,7 +265,7 @@ class TestCenter:
     def test_center_of_quotient(self, source, n, param):
         A = _center_case(source, n, param)
         Q = _Quotient(A)
-        center = _SplitContext(Q, 0).center_of(Q.unit)
+        center = _SplitContext(Q).center_of(Q.unit)
         assert _same_span(A.tag, center, _brute_center(Q, Q.basis))
         for z in center:
             for v in Q.basis:
@@ -266,7 +279,7 @@ class TestCenter:
         e = Q.project(A.add(*_primitives_of_two_components(A)))
         span = Span(A.tag)
         corner = [w for v in Q.basis if span.add(w := Q.mul(Q.mul(e, v), e))]
-        center = _SplitContext(Q, 0).center_of(e)
+        center = _SplitContext(Q).center_of(e)
         assert _same_span(A.tag, center, _brute_center(Q, corner))
         for z in center:
             for v in corner:
@@ -286,8 +299,8 @@ class TestCornerAlgebra:
         assert B.dim == 1
         assert radical(B) == []
 
-    def test_corner_cut_via_dispatch(self):
-        A = end_algebra("partition", 1, t=0, cut=identity(1, bound_q(0)))
+    def test_corner_cut_by_morphism(self):
+        A = corner_algebra(end_algebra_partition(1, 0), identity(1, bound_q(0)))
         assert A.dim == 2  # eAe = A for e the unit
 
 
@@ -295,28 +308,53 @@ class TestIdentify:
     def test_t1_labels(self):
         A = end_algebra_partition(1, 1)
         dec = split_idempotent(A, A.unit)
+        quotient = A._quotient
         labels = {}
         for vec in dec.idempotents:
-            lab = identify_summand(1, vec, 1)
+            lab = identify_summand(A, vec)
             labels[lab.diagram.parts] = lab
+        assert A._quotient is quotient  # the split's quotient, not a second one
         assert set(labels) == {(), (1,)}
         assert labels[()].dim.data == 1 and labels[()].tensor_power == 0
         assert labels[(1,)].dim.data == 0 and labels[(1,)].tensor_power == 1
 
     def test_t0_point_is_indecomposable(self):
         A = end_algebra_partition(1, 0)
-        lab = identify_summand(1, A.unit, 0)
+        lab = identify_summand(A, A.unit)
         assert lab.diagram == Y((1,))
         assert lab.dim.is_zero()
 
     def test_rejects_nonprimitive(self):
         A = end_algebra_partition(1, 1)
         with pytest.raises(ValueError):
-            identify_summand(1, A.unit, 1)
+            identify_summand(A, A.unit)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            identify_summand(9, {}, 0)
+    def test_rejects_nonprimitive_beside_a_radical(self):
+        A = end_algebra_partition(2, 0)
+        assert radical(A)
+        with pytest.raises(ValueError, match="not primitive"):
+            identify_summand(A, A.unit)
+
+    def test_rejects_zero(self):
+        A = end_algebra_partition(1, 0)
+        with pytest.raises(ValueError, match="zero"):
+            identify_summand(A, {})
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: end_algebra_tl(2), lambda: end_algebra_tl(2, bound_q(1, "d")),
+         lambda: end_algebra_partition(1)],
+        ids=["tl-generic", "tl-bound", "partition-generic"],
+    )
+    def test_rejects_other_algebras(self, build):
+        A = build()
+        with pytest.raises(ValueError, match="needs End"):
+            identify_summand(A, A.unit)
+
+    def test_cap(self, capsys):
+        # identify_summand takes its n from an algebra, so the build cap bounds it
+        assert cli.main(["decompose", "--n", "4", "--d", "0"]) == 3
+        assert "exceeds" in capsys.readouterr().err
 
 
 class TestJsonDump:
@@ -421,9 +459,9 @@ def _accepted(A, table) -> bool:
 
 
 def _doubled(cell):
-    """The cell with its first coefficient doubled (a zero one becomes one)."""
+    """The cell with its first coefficient doubled."""
     (k, c), *rest = cell.items()
-    return {k: 2 * c if c else Fraction(1), **dict(rest)}
+    return {k: 2 * c, **dict(rest)}
 
 
 def _corner_algebra():
@@ -462,9 +500,14 @@ def _cells(A):
 
 
 def _corruptions(A, i, j):
-    """Cell (i, j) with its first coefficient doubled, and sent elsewhere."""
+    """Cell (i, j) with its first coefficient doubled, and sent elsewhere;
+    an empty cell (a zero product) gets a coefficient one at the first and
+    at the last basis index instead."""
+    one = A.tag.one_payload
+    if not A.table[i][j]:
+        return [{0: one}, {A.dim - 1: one}]
     k = next(k for k in range(A.dim) if k not in A.table[i][j])
-    return [_doubled(A.table[i][j]), {k: A.tag.one_payload}]
+    return [_doubled(A.table[i][j]), {k: one}]
 
 
 class TestAssociativityCertificate:
@@ -493,8 +536,10 @@ class TestAssociativityCertificate:
             i, j = cells[-1]
         elif pick == "middle":
             i, j = cells[len(cells) // 2]
-        elif pick == "zero":  # a cell that stores a zero coefficient
-            i, j = next((i, j) for i, j in cells if not any(A.table[i][j].values()))
+        elif pick == "zero":  # a zero product, stored as an empty cell
+            (u,) = A.unit
+            i, j = next((i, j) for i in range(A.dim) for j in range(A.dim)
+                        if u not in (i, j) and not A.table[i][j])
         else:  # a cell with more than one term
             i, j = next((i, j) for i, j in cells if len(A.table[i][j]) > 1)
         for cell in _corruptions(A, i, j):
@@ -749,6 +794,28 @@ def gaussian_rationals() -> FinDimAlgebra:
 def test_field_extension_is_not_split_over_q():
     A = gaussian_rationals()
     with pytest.raises(SplitError, match="not split over Q"):
+        split_idempotent(A, A.unit)
+
+
+def hamilton_quaternions() -> FinDimAlgebra:
+    """H over Q, basis 1, i, j, k: central simple but a division algebra,
+    so it has no idempotent other than 0 and 1."""
+    one = Fraction(1)
+    table = [[{0: -one} if a == b else None for b in range(4)] for a in range(4)]
+    for a in range(4):
+        table[0][a] = table[a][0] = {a: one}
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):  # i j = k, j k = i, k i = j
+        table[a][b], table[b][a] = {c: one}, {c: -one}
+    return FinDimAlgebra(bound_q(0), list("1ijk"), table, {0: one}, "corner")
+
+
+def test_division_algebra_has_no_proper_idempotent():
+    A = hamilton_quaternions()
+    assert radical(A) == []
+    ctx = _SplitContext(_Quotient(A))
+    with pytest.raises(SplitError, match="proper idempotent"):
+        ctx._proper_idempotent(ctx.Q.unit, ctx.Q.basis)
+    with pytest.raises(SplitError, match="proper idempotent"):
         split_idempotent(A, A.unit)
 
 

@@ -485,7 +485,7 @@ class TestDivisionSites:
         one, half = Fraction(1), Fraction(1, 2)
         table = [[{0: one}, {1: one}], [{1: one}, {0: one}]]
         A = FinDimAlgebra(bound_q(1), ["e", "a"], table, {0: one}, "test")
-        ctx = algkit._SplitContext(algkit._Quotient(A), 0)
+        ctx = algkit._SplitContext(algkit._Quotient(A))
         parts = ctx._central_split({0: half, 1: half}, A.unit)
         want = [[(0, half), (1, -half)], [(0, half), (1, half)]]
         assert sorted(sorted(p.items()) for p in parts) == want
