@@ -4,7 +4,8 @@ Endomorphism algebras of small diagram objects are captured as sparse
 structure-constant tables.  The radical is the kernel of the regular
 trace form (characteristic zero), idempotents are split in the
 semisimple quotient and Newton-lifted back, and primitive summands are
-labelled by a nonzero pairing against tensor powers and symmetrizer cuts.
+labelled by a nonzero pairing against a symmetrizer cut at the tensor
+power their least propagating number names.
 
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
 payloads of the algebra's ring ``tag``, and all their arithmetic and zero
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .linalg import Span, kernel
 from .lincomb import to_dict
-from .pcat import Morphism, hom_basis
+from .pcat import Morphism, diagram_morphism, hom_basis
 from .young import YoungDiagram, partitions_of, pt_power_idempotent
 from . import pcat, tl
 
@@ -773,6 +774,12 @@ def decomposition_to_list(dec: "IdempotentDecomposition") -> list:
 # summand identification
 
 
+def _propagating(d) -> int:
+    """The number of blocks of d that meet both rows."""
+    w = d.word
+    return len(set(w[: d.bottom]).intersection(w[d.bottom :]))
+
+
 @dataclass(frozen=True)
 class SummandLabel:
     diagram: YoungDiagram
@@ -783,14 +790,15 @@ class SummandLabel:
 def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
     """Label the image of a primitive idempotent e of A = End([A_n]) at t = d.
 
-    The label is the unique partition whose symmetrizer cut pairs
-    nontrivially with the summand at the first tensor power where the
-    summand appears; anything else raises, never a silent guess.
-
-    Pairings are read through the local functional of eAe: for x in eAe,
-    x = c e mod rad(eAe) exactly when x and c e have the same image in
-    A/rad.  An x whose image is not a multiple of e's shows that e is not
-    primitive.
+    Pairings are read through the local functional f of eAe: x = c e mod
+    rad(eAe) exactly when x and c e have the same image in A/rad, and an x
+    whose image is not a multiple of e's shows that e is not primitive.
+    The tensor power is the least propagating number k (blocks meeting both
+    rows) of a diagram D with f(e D e) != 0: D factors through [A_k] with no
+    closed loop, and every product through [A_k] is t^l times a diagram
+    with at most k.  The label is the unique partition whose symmetrizer
+    cut pairs nontrivially at k, through g and h with exactly k propagating
+    blocks (f vanishes below k); anything else raises, never a silent guess.
     """
     if A.kind != pcat.PARTITION.name or A.tag.value is None:
         raise ValueError("identify_summand needs End([A_n]) at a bound value of t")
@@ -818,35 +826,25 @@ def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
                 "corner element not a multiple of e mod the radical: the idempotent is not primitive"
             )
         sandwich[label] = c
-    addmul, acc_value, is_zero = ring.addmul, ring.acc_value, ring.is_zero
+    add, mul, is_zero, zero = ring.add, ring.mul, ring.is_zero, ring.zero_payload
+    k = min(_propagating(d) for d, c in sandwich.items() if not is_zero(c))
+    homs_down = [diagram_morphism(h, ring) for h in hom_basis(n, k) if _propagating(h) == k]
+    homs_up = [diagram_morphism(g, ring) for g in hom_basis(k, n) if _propagating(g) == k]
 
-    def pairs(mid_terms) -> bool:
-        """Whether f(e g (mid) h e) is nonzero for some g, h in the Hom bases at power k."""
+    def pairs(y) -> bool:
+        """Whether f(e g y h e) is nonzero for some g, h with k propagating blocks."""
         for h in homs_down:
+            yh = y @ h
             for g in homs_up:
-                acc = None
-                for mid, c_mid in mid_terms:
-                    gm, l1 = pcat._compose_diagrams(g, mid)
-                    dm, l2 = pcat._compose_diagrams(gm, h)
-                    acc = addmul(acc, c_mid, sandwich[dm], l1 + l2)
-                if acc is not None and not is_zero(acc_value(acc)):
+                terms = (g @ yh).terms.items()
+                if not is_zero(reduce(add, (mul(c, sandwich[d]) for d, c in terms), zero)):
                     return True
         return False
 
-    for k in range(n + 1):
-        homs_down = hom_basis(n, k)  # candidate maps X -> [A_k], pre-cut by e
-        homs_up = hom_basis(k, n)
-        idk = pcat.identity(k, ring).sorted_terms()[0][0]
-        if not pairs([(idk, one)]):
-            continue
-        winners = [
-            lam for lam in partitions_of(k)
-            if pairs(pt_power_idempotent(lam, ring).terms.items())
-        ]
-        if len(winners) != 1:
-            raise AmbiguousSummandError(
-                f"summand at power {k} pairs with {len(winners)} labels",
-                winners,
-            )
-        return SummandLabel(diagram=winners[0], dim=e_mor.trace(), tensor_power=k)
-    raise AmbiguousSummandError("summand does not pair with any tensor power", [])
+    winners = [lam for lam in partitions_of(k) if pairs(pt_power_idempotent(lam, ring))]
+    if len(winners) != 1:
+        raise AmbiguousSummandError(
+            f"summand at power {k} pairs with {len(winners)} labels",
+            winners,
+        )
+    return SummandLabel(diagram=winners[0], dim=e_mor.trace(), tensor_power=k)

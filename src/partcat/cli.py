@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (PartcatError, FileNotFoundError, ValueError) as exc:
+    except (PartcatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -129,3 +129,54 @@ def euclid_gcd(a: tuple, b: tuple) -> tuple:
                 r.pop()
         a, b = b, r
     return tuple(c / a[-1] for c in a) if a else ()
+
+
+# ---------------------------------------------------------------------------
+# summand labels by the scan over every tensor power
+
+
+def identify_summand_scan(A, e: dict):
+    """(winning partitions, tensor power) for a primitive idempotent e of
+    A = End([A_n]) at a bound t, by the scan ``algkit.identify_summand``
+    ran before it read the power from propagating numbers.
+
+    For k = 0, 1, ..., n: the power is the first k at which the identity
+    of [A_k] pairs, and the winners are the partitions of k whose
+    symmetrizer cut pairs.  A cut y pairs when f(e g y h e) != 0 for some
+    g, h in the full Hom(k, n) x Hom(n, k), composed by ``compose`` above;
+    f is the local functional of eAe read through A/rad.
+    """
+    from partcat import algkit
+    from partcat.pcat import PartitionDiagram, hom_basis, identity
+    from partcat.young import partitions_of, pt_power_idempotent
+
+    ring = A.tag
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    n = A.labels[0].bottom
+    Q = algkit._quotient(A)
+    e_bar = Q.project(e)
+    key = min(e_bar)
+    e_key_inv = ring.inv(e_bar[key])
+    f = {}
+    for i, label in enumerate(A.labels):
+        x_bar = Q.project(A.mul(A.mul(e, {i: ring.one_payload}), e))
+        f[label] = mul(x_bar.get(key, ring.zero_payload), e_key_inv)
+
+    def pairs(k: int, mid_terms) -> bool:
+        for h in hom_basis(n, k):
+            for g in hom_basis(k, n):
+                total = ring.zero_payload
+                for mid, c in mid_terms:
+                    gm_parts, l1 = compose(g, mid)
+                    parts, l2 = compose(PartitionDiagram(k, n, gm_parts), h)
+                    loops = ring.power(ring.parameter_payload(), l1 + l2)
+                    total = add(total, mul(mul(c, loops), f[PartitionDiagram(n, n, parts)]))
+                if not is_zero(total):
+                    return True
+        return False
+
+    for k in range(n + 1):
+        if pairs(k, identity(k, ring).terms.items()):
+            cuts = [(lam, pt_power_idempotent(lam, ring).terms.items()) for lam in partitions_of(k)]
+            return [lam for lam, y in cuts if pairs(k, y)], k
+    return [], None

@@ -6,6 +6,7 @@ Each test prints its own pass line; run with -v (or -s) for the listing.
 """
 
 import json
+from collections import Counter
 from math import comb
 from random import Random
 
@@ -176,6 +177,23 @@ def test_c08_blocks():
     _announce(8, "block classification and infinite-block counts p(d)")
 
 
+# The multiset of summand labels of End([A_n]) at t = d: {lambda: count}.
+C09_LABELS = {
+    (0, 0): {(): 1},
+    (0, 1): {(1,): 1},
+    (0, 2): {(1,): 2, (1, 1): 1, (2,): 1},
+    (0, 3): {(1,): 5, (1, 1): 5, (1, 1, 1): 1, (2,): 6, (2, 1): 2, (3,): 1},
+    (1, 0): {(): 1},
+    (1, 1): {(): 1, (1,): 1},
+    (1, 2): {(): 1, (1,): 3, (1, 1): 1, (2,): 1},
+    (1, 3): {(): 1, (1,): 10, (1, 1): 6, (1, 1, 1): 1, (2,): 4, (2, 1): 2, (3,): 1},
+    (2, 0): {(): 1},
+    (2, 1): {(): 1, (1,): 1},
+    (2, 2): {(): 2, (1,): 2, (1, 1): 1, (2,): 1},
+    (2, 3): {(): 4, (1,): 4, (1, 1): 6, (1, 1, 1): 1, (2,): 6, (2, 1): 2, (3,): 1},
+}
+
+
 def test_c09_negligibility_cross_validation():
     """For d <= 2 and n <= 3: categorical traces of primitive idempotents
     vanish exactly when the combinatorial predicate says so."""
@@ -190,6 +208,7 @@ def test_c09_negligibility_cross_validation():
                 comp: algkit.identify_summand(A, vec)
                 for comp, vec in rep_for.items()
             }
+            assert Counter(labels[comp].diagram.parts for comp in dec.component) == C09_LABELS[d, n]
             for vec, comp in zip(dec.idempotents, dec.component):
                 label = labels[comp]
                 trace = A.to_morphism(vec).trace()

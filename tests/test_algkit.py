@@ -29,8 +29,10 @@ from partcat.algkit import (
 from partcat.coeff import RATFUN_D, bound_q, chebyshev_minpoly, number_field
 from partcat.errors import CapExceededError, SplitError
 from partcat.linalg import Span, kernel, rank
-from partcat.pcat import PartitionDiagram, diagram_morphism, identity, is_negligible
+from partcat.pcat import PartitionDiagram, diagram_morphism, hom_basis, identity, is_negligible
 from partcat.young import YoungDiagram as Y
+
+import reference_kernels as reference
 
 E_DIAGRAM = PartitionDiagram(1, 1, ((0,), (1,)))
 
@@ -350,6 +352,31 @@ class TestIdentify:
         A = build()
         with pytest.raises(ValueError, match="needs End"):
             identify_summand(A, A.unit)
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_matches_the_scan_over_every_power(self, n, t):
+        A = end_algebra_partition(n, t)
+        for vec in split_idempotent(A, A.unit).idempotents:
+            label = identify_summand(A, vec)
+            assert reference.identify_summand_scan(A, vec) == ([label.diagram], label.tensor_power)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_diagrams_through_a_k_are_those_with_at_most_k_propagating_blocks(self, n):
+        def propagating(d):
+            return sum(1 for block in d.blocks if block[0] < d.bottom <= block[-1])
+
+        ends = hom_basis(n, n)
+        assert all(algkit._propagating(d) == propagating(d) for d in ends)
+        for k in range(n + 1):
+            composites = {}
+            for g in hom_basis(k, n):
+                for h in hom_basis(n, k):
+                    d, loops = pcat._compose(g, h)
+                    composites[d] = composites.get(d, False) or loops == 0
+            assert max(map(propagating, composites)) <= k
+            loop_free = {d for d, free in composites.items() if free}
+            assert loop_free == {d for d in ends if propagating(d) <= k}
 
     def test_cap(self, capsys):
         # identify_summand takes its n from an algebra, so the build cap bounds it

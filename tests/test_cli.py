@@ -40,6 +40,16 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys):
         assert run(capsys, "trace", "-f", "/nonexistent/m.json")[0] == 2
 
+    def test_directory_as_input_is_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compose", "-f", str(tmp_path), "-g", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_as_output_is_two(self, capsys, tmp_path, morphism_file):
+        code, _, err = run(capsys, "compose", "-f", morphism_file, "-g", morphism_file, "-o", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_json_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
