@@ -609,7 +609,7 @@ class _SplitContext:
         for q, p, _ in roots:
             r = Fraction(p, q)
             h = _pdivmod(coeffs, (-r, 1))[0]
-            parts.append(self.poly_at(_pscale(h, 1 / _peval(h, r)), z, e))
+            parts.append(self.poly_at(_pscale(h, Fraction(1, _peval(h, r))), z, e))
         return parts
 
     def _cut_corner(self, corner: List[dict], f: dict, central: bool) -> List[dict]:
@@ -698,13 +698,31 @@ def split_idempotent(A: FinDimAlgebra, e) -> IdempotentDecomposition:
     prims = [f_bar for group in groups for f_bar in group]
     comp_ids = [gid for gid, group in enumerate(groups) for _ in group]
     lifted = _lift_orthogonal(A, Q, e_vec, prims)
-    if reduce(A.add, lifted, {}) != e_vec:
-        raise SplitError("lifted idempotents do not sum to the input")
-    for i, f in enumerate(lifted):
-        for g in lifted[i + 1 :]:
-            if A.mul(f, g) or A.mul(g, f):
-                raise SplitError("lifted idempotents are not orthogonal")
+    _check_orthogonal(A, e_vec, lifted)
     return IdempotentDecomposition(A, lifted, [True] * len(lifted), comp_ids)
+
+
+def _check_orthogonal(A: FinDimAlgebra, e: dict, parts: List[dict]) -> None:
+    """SplitError unless ``parts`` are orthogonal idempotents summing to e.
+
+    Each part f_i and each prefix sum g_i = f_1 + ... + f_i must be
+    idempotent: 2k - 1 products, not the k(k - 1) of the pairwise check.
+    That suffices in characteristic 0.  If f, g and f + g are idempotent,
+    then fg + gf = 0; multiplying by f on the left and on the right gives
+    fg = -fgf = gf, so 2fg = 0 and fg = gf = 0.  For g = g_(i-1) and
+    f = f_i this gives g f_i = f_i g = 0.  The parts of g are orthogonal by
+    induction, so f_j g = g f_j = f_j for j < i, and then
+    f_j f_i = f_j g f_i = 0 and f_i f_j = f_i g f_j = 0.
+    """
+    prefix: dict = {}
+    for i, f in enumerate(parts):
+        if not A.is_idempotent(f):
+            raise SplitError("a lifted part is not idempotent")
+        prefix = A.add(prefix, f)
+        if i and not A.is_idempotent(prefix):
+            raise SplitError("lifted idempotents are not orthogonal")
+    if prefix != e:
+        raise SplitError("lifted idempotents do not sum to the input")
 
 
 def _lift_orthogonal(A: FinDimAlgebra, Q: _Quotient, e: dict, prims: List[dict]) -> List[dict]:

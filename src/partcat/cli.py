@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -413,10 +414,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OPTION = re.compile(r"--[\w-]+")
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+
+
+def _attach_negative_fractions(argv: list) -> list:
+    """``--t -3/2`` as ``--t=-3/2``: argparse takes only -N and -N.M for
+    negative numbers, and would read -3/2 as an unknown option."""
+    out: list = []
+    for arg in argv:
+        if out and _OPTION.fullmatch(out[-1]) and _NEGATIVE_FRACTION.fullmatch(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_fractions(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,11 +9,12 @@ Four kinds of coefficients are supported, selected by a :class:`RingTag`:
   monic denominator;
 * ``numberfield`` -- the quotient ring Q[d]/(m) for a squarefree monic m.
 
-Everything is exact.  A ``Q`` payload is a :class:`fractions.Fraction`.
-The other payloads are tuples of coefficients, each a Python ``int`` when
-it is integral (most are, and ``int`` arithmetic is many times faster) and
-a ``Fraction`` with denominator other than 1 when it is not.  Every payload
-has a unique canonical form, so equality and hashing are structural.  One
+Everything is exact.  A ``Q`` payload, and each coefficient of the tuples
+that are the other payloads, is a Python ``int`` when it is integral (most
+are: at an integral parameter every structure constant is, and ``int``
+arithmetic is many times faster) and a :class:`fractions.Fraction` with
+denominator other than 1 when it is not.  Every payload has a unique
+canonical form, so equality and hashing are structural.  One
 convention holds everywhere: each tag carries the arithmetic of its
 payloads, every container in partcat holds bare payloads of one ring and
 calls its tag, and :class:`RingElement`, a payload boxed with its tag, is
@@ -57,6 +58,12 @@ EXPONENT_CAP = 1000
 
 # ---------------------------------------------------------------------------
 # polynomial helpers on coefficient tuples
+
+
+def _q(x):
+    """The canonical form of a rational: an int when it is integral.  It is
+    a whole Q payload, and the rule ``_trim`` applies to each coefficient."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
 def _trim(cs: Iterable) -> Coeffs:
@@ -224,10 +231,26 @@ def _pxgcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
 # payload arithmetic, one set of functions per ring kind
 
 
-def _inv_q(x: Fraction) -> Fraction:
+def _q_add(a, b):
+    return _q(a + b)
+
+
+def _q_sub(a, b):
+    return _q(a - b)
+
+
+def _q_mul(a, b):
+    return _q(a * b)
+
+
+def _inv_q(x):
     if not x:
         raise DivisionByZeroError("inverse of zero")
-    return 1 / x
+    return _q(Fraction(1, x))  # 1 / x would be a float for an int x
+
+
+def _embed_q(q):
+    return q if q.__class__ is int else _q(Fraction(q))
 
 
 def _inv_poly(x: Coeffs) -> Coeffs:
@@ -339,10 +362,9 @@ _POLY = dict(zero_payload=(), one_payload=(1,), add=_padd, sub=_psub, neg=_pneg,
              mul=_pmul, inv=_inv_poly, is_zero=operator.not_, embed=_const,
              addmul=_addmul_into, acc_value=_trim)
 _ARITHMETIC = {
-    "Q": dict(zero_payload=Fraction(0), one_payload=Fraction(1), add=operator.add,
-              sub=operator.sub, neg=operator.neg, mul=operator.mul,
-              inv=_inv_q, is_zero=operator.not_, embed=Fraction,
-              acc_value=lambda acc: acc),  # addmul multiplies by the tag's powers
+    "Q": dict(zero_payload=0, one_payload=1, add=_q_add, sub=_q_sub, neg=operator.neg,
+              mul=_q_mul, inv=_inv_q, is_zero=operator.not_, embed=_embed_q,
+              acc_value=_q),  # addmul multiplies by the tag's powers
     "poly": _POLY,
     "ratfun": dict(zero_payload=((), (1,)), one_payload=((1,), (1,)), add=_rf_add,
                    sub=lambda a, b: _rf_add(a, _rf_neg(b)), neg=_rf_neg,
@@ -371,7 +393,8 @@ class RingTag:
     ``numberfield``, ``minpoly`` is the monic defining polynomial.
 
     The payload arithmetic is plain functions chosen once per tag (the Q
-    ones are the ``operator`` functions on ``Fraction``): ``zero_payload``,
+    ones apply the ``int``/``Fraction`` operators and turn an integral
+    result back into an ``int``): ``zero_payload``,
     ``one_payload``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``embed``
     (the payload of a rational) and ``is_zero``.  A ratfun zero payload is
     a truthy tuple, so never test a payload's own truth value.
@@ -445,7 +468,7 @@ class RingTag:
         if self.kind == "Q":
             if self.value is None:
                 raise MissingParameterError("no numeric parameter value bound to this Q tag")
-            return self.value
+            return _q(self.value)
         x = (0, 1)
         if self.kind == "ratfun":
             return (x, (1,))
@@ -479,13 +502,13 @@ class RingTag:
         if self.kind == "Q":
             return x
         if self.kind == "poly":
-            return _peval(x, value)
+            return _q(_peval(x, value))
         if self.kind == "ratfun":
             n, d = x
             dv = _peval(d, value)
             if dv == 0:
                 raise PoleError(f"pole at {self.var} = {value}")
-            return _peval(n, value) / dv
+            return _q(_peval(n, value) / dv)
         raise TagMismatchError("cannot evaluate a numberfield element")
 
     def render(self, x) -> str:
@@ -613,11 +636,12 @@ def tag_from_json(obj: dict, var: str) -> RingTag:
 class RingElement:
     """An exact scalar in the ring named by ``tag``: the boxed payload.
 
-    The payload ``data`` is canonical: a reduced Fraction for Q; a trimmed
+    The payload ``data`` is canonical: a rational for Q; a trimmed
     coefficient tuple for poly and numberfield; and a gcd-reduced pair of
-    such tuples with monic denominator for ratfun.  Tuple coefficients are
-    ``int`` when integral and ``Fraction`` otherwise (see the module
-    docstring).  Structural equality therefore decides ring equality.
+    such tuples with monic denominator for ratfun.  A Q payload and each
+    tuple coefficient is an ``int`` when integral and a ``Fraction``
+    otherwise (see the module docstring).  Structural equality therefore
+    decides ring equality.
     Elements are values: nothing assigns to ``tag`` or ``data`` after
     construction.  The arithmetic is the tag's.
     """

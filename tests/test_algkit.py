@@ -846,6 +846,38 @@ def test_division_algebra_has_no_proper_idempotent():
         split_idempotent(A, A.unit)
 
 
+def matrix_units() -> FinDimAlgebra:
+    """M_2(Q) on the matrix units E_ab, at index 2a + b: E_ab E_cd = [b = c] E_ad."""
+    table = [[{2 * a + d: 1} if b == c else {} for c in range(2) for d in range(2)]
+             for a in range(2) for b in range(2)]
+    return FinDimAlgebra(bound_q(0), ["E11", "E12", "E21", "E22"], table, {0: 1, 3: 1}, "corner")
+
+
+E11, E12, E22 = {0: 1}, {1: 1}, {3: 1}
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["fg", "gf"])
+def test_orthogonality_check_rejects_idempotents_that_do_not_annihilate(order):
+    """f = E11 and g = E12 + E22 are idempotents with fg = E12 and gf = 0:
+    the prefix sums catch a product that is nonzero on either side."""
+    A = matrix_units()
+    f, g = E11, A.add(E12, E22)
+    assert A.is_idempotent(f) and A.is_idempotent(g)
+    assert A.mul(f, g) == E12 and A.mul(g, f) == {}
+    parts = [f, g] if order == 0 else [g, f]
+    with pytest.raises(SplitError, match="not orthogonal"):
+        algkit._check_orthogonal(A, A.add(f, g), parts)
+
+
+def test_orthogonality_check_rejects_bad_parts_and_sums():
+    A = matrix_units()
+    algkit._check_orthogonal(A, A.unit, [E11, E22])  # passes
+    with pytest.raises(SplitError, match="not idempotent"):
+        algkit._check_orthogonal(A, A.add(E11, E12), [E11, E12])  # E12^2 = 0
+    with pytest.raises(SplitError, match="do not sum"):
+        algkit._check_orthogonal(A, E11, [E11, E22])
+
+
 SPLITS_WITHOUT_SYMPY = """
 import contextlib, io, sys
 sys.modules["sympy"] = None  # from here on, importing sympy raises ImportError

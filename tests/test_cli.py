@@ -280,6 +280,22 @@ class TestVerbs:
         doc = json.loads(out)
         assert code == 0 and doc["kind"] == "tl"
 
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["decompose", "--n", "2", "--json"], "--t", "-3/2"),
+            (["tl", "jw", "--n", "2", "--json"], "--delta", "-1/2"),
+            (["dim", "--n", "2", "--ring", "Q"], "--t", "-3/2"),
+        ],
+        ids=["decompose", "tl-jw", "dim"],
+    )
+    def test_negative_fraction_as_its_own_argument(self, capsys, argv, option, value):
+        # argparse reads only -N and -N.M as numbers; -p/q must work spaced too
+        joined = run(capsys, *argv, f"{option}={value}")
+        spaced = run(capsys, *argv, option, value)
+        assert joined[0] == spaced[0] == 0
+        assert joined[1] == spaced[1] != ""
+
     def test_tl_jw_undefined_is_two(self, capsys):
         code, _, err = run(capsys, "tl", "jw", "--n", "3", "--l", "2")
         assert code == 2

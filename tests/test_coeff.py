@@ -321,16 +321,24 @@ class TestChebyshevMinpoly:
 
 NF_CUBIC = number_field("d^3 - 3*d + 1")  # irreducible over Q, so a field
 Q_AT = bound_q(Fraction(5, 2))
-PAYLOAD_TAGS = [POLY_T, RATFUN_T, NF_CUBIC, Q_AT]
+PAYLOAD_TAGS = [POLY_T, RATFUN_T, NF_CUBIC, Q_AT, bound_q(2)]
+PAYLOAD_IDS = ["Qt", "Qratfun", "nf-cubic", "Q-at-5/2", "Q-at-2"]
+
+
+def assert_canonical_payload(c):
+    """An int, or a Fraction that is not integral: never a float or a bool."""
+    assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 def assert_canonical_types(x: RingElement):
     if x.tag.kind == "Q":
-        assert type(x.data) is Fraction
-        return
-    coefficients = x.data[0] + x.data[1] if x.tag.kind == "ratfun" else x.data
+        coefficients = (x.data,)
+    elif x.tag.kind == "ratfun":
+        coefficients = x.data[0] + x.data[1]
+    else:
+        coefficients = x.data
     for c in coefficients:
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        assert_canonical_payload(c)
 
 
 def poly_expr(cs, var):
@@ -370,7 +378,7 @@ def reference_reduce(tag, want):
 OPS = st.sampled_from(["+", "-", "*", "/", "inv", "**", "roundtrip"])
 
 
-@pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=["Qt", "Qratfun", "nf-cubic", "Q-at-5/2"])
+@pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=PAYLOAD_IDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_payload_functions_agree_with_boxed_arithmetic(tag, data):
@@ -411,7 +419,7 @@ def test_ratfun_zero_payload_is_truthy_but_zero():
     assert not RATFUN_T.is_zero(t) and not POLY_T.is_zero(POLY_T.parameter_payload())
 
 
-@pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=["Qt", "Qratfun", "nf-cubic", "Q-at-5/2"])
+@pytest.mark.parametrize("tag", PAYLOAD_TAGS, ids=PAYLOAD_IDS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_payloads_are_int_or_proper_fraction(tag, data):
@@ -492,6 +500,27 @@ class TestDivisionSites:
         assert all(type(v) is Fraction for p in parts for v in p.values())
         dec = split_idempotent(A, A.unit)
         assert sorted(sorted(e.items()) for e in dec.idempotents) == want
+
+
+@pytest.mark.parametrize("value", [0, 1, 2, Fraction(1, 2)], ids=["0", "1", "2", "1/2"])
+@pytest.mark.parametrize("family", ["partition-2", "tl-4"])
+def test_algebra_payloads_are_canonical(family, value):
+    """Tables, radical vectors and split idempotents of End([A_2]) and TL_4
+    hold canonical Q payloads: ints in every table at an integral
+    parameter, never an integral Fraction, a float or a bool."""
+    if family == "partition-2":
+        A = algkit.end_algebra_partition(2, value)
+    else:
+        A = algkit.end_algebra_tl(4, bound_q(value, "d"))
+    table = [c for row in A.table for cell in row for c in cell.values()]
+    radical = [c for v in algkit.radical(A) for c in v.values()]
+    split = [c for e in split_idempotent(A, A.unit).idempotents for c in e.values()]
+    for c in [*table, *A.unit.values(), *radical, *split]:
+        assert_canonical_payload(c)
+    if Fraction(value).denominator == 1:
+        assert all(type(c) is int for c in table)
+    else:
+        assert any(type(c) is Fraction for c in table)
 
 
 def test_slotted_element_keeps_value_semantics():

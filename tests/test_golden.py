@@ -43,6 +43,7 @@ CASES = {
     "symmetrizer-21": ["symmetrizer", "--lambda", "2,1", "-o", "{OUT}"],
 }
 CASES.update({f"decompose-2-{d}": ["decompose", "--n", "2", "--d", str(d), "--json"] for d in "012"})
+CASES["decompose-2-half"] = ["decompose", "--n", "2", "--t", "1/2", "--json"]  # int and Fraction payloads
 FAMILIES = ("deltalg", "deltaj", "dplus1", "ortho", "psi", "azero", "nondegenerate")
 CASES.update({f"verify-{fam}-3": ["verify", "--json", "--family", fam, "--n", "3"] for fam in FAMILIES})
 CASES["verify-xn_idempotent-5"] = ["verify", "--json", "--family", "xn_idempotent", "--n", "5"]
