@@ -9,7 +9,11 @@ power their least propagating number names.
 
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
 payloads of the algebra's ring ``tag``, and all their arithmetic and zero
-tests go through that ring (see :class:`~partcat.coeff.RingTag`).  Every
+tests go through that ring (see :class:`~partcat.coeff.RingTag`).  The
+one exception is the integer kernel of a monomial table over Q (every End
+algebra's): products, Light's test and the unit check run on integer
+structure constants over one common denominator, and each output
+coefficient is divided once (see :class:`FinDimAlgebra`).  Every
 linear solve here (radical, quotient projection, spans, minimal
 polynomials, commutants, corner coordinates) goes through
 :mod:`partcat.linalg`.
@@ -66,6 +70,20 @@ class FinDimAlgebra:
 
     ``generators`` holds the basis indices that the associativity check
     certified as generating the algebra.
+
+    A monomial table (every product of two basis elements is a multiple
+    of one basis element, as in every End algebra: one diagram times
+    t^loops) over a ring that writes its payloads as integers (Q, see
+    ``RingTag.to_z``) is also kept as an integer table S with one
+    denominator D: the constant of b_i b_j is S_ij / D.  At t = p/q in
+    lowest terms, S_ij = p^l q^(L-l) for the l loops of the product and
+    D = q^L for the most loops L in the table.  ``mul`` writes x and y as
+    X / dx and Y / dy, sums X_i Y_j S_ij in Python integers and divides
+    each output coefficient once by dx dy D.  Every step is exact integer
+    arithmetic, and the quotient is the canonical payload, so the product
+    is the one the payload-by-payload sum gives, in fewer operations.
+    Other tables (rational-function and number-field scalars, corner
+    algebras with longer cells) multiply payload by payload.
     """
 
     tag: RingTag
@@ -81,9 +99,17 @@ class FinDimAlgebra:
         self._traces = None
         self._radical = None
         self._quotient = None
-        self._flat = None  # for a monomial table: per cell, its one (k, coefficient) or None
-        if all(len(cell) <= 1 for row in self.table for cell in row):
-            self._flat = [[next(iter(cell.items()), None) for cell in row] for row in self.table]
+        self._flat = None  # the integer table: per cell, its (k, S_ij) or None for zero
+        self._den = 1  # its denominator D
+        if self.tag.to_z is not None and all(len(cell) <= 1 for row in self.table for cell in row):
+            self._flat = [[None] * self.dim for _ in range(self.dim)]
+            constants, self._den = self.tag.to_z(
+                {(i, j, k): c for i, row in enumerate(self.table)
+                 for j, cell in enumerate(row) for k, c in cell.items()}
+            )
+            for (i, j, k), s in constants.items():
+                if s:
+                    self._flat[i][j] = (k, s)
         self._check_unit()
         self.generators = self._generators(candidates)
         self._check_associativity()
@@ -92,29 +118,24 @@ class FinDimAlgebra:
 
     def mul(self, x: dict, y: dict) -> dict:
         ring = self.tag
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        acc: dict = {}
         flat = self._flat
         if flat is not None:
-            for i, xi in x.items():
+            X, dx = ring.to_z(x)
+            Y, dy = ring.to_z(y)
+            Y = list(Y.items())
+            acc: dict = {}
+            get = acc.get
+            for i, xi in X.items():
                 row = flat[i]
-                for j, yj in y.items():
+                for j, yj in Y:
                     cell = row[j]
-                    if cell is None:
-                        continue
-                    k, s = cell
-                    c = mul(mul(xi, yj), s)
-                    v = acc.get(k)
-                    if v is None:
-                        if not is_zero(c):
-                            acc[k] = c
-                    else:
-                        v = add(v, c)
-                        if is_zero(v):
-                            del acc[k]
-                        else:
-                            acc[k] = v
-            return acc
+                    if cell is not None:
+                        k, s = cell
+                        acc[k] = get(k, 0) + xi * yj * s
+            from_z, den = ring.from_z, dx * dy * self._den
+            return {k: from_z(v, den) for k, v in acc.items() if v}
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        acc = {}
         table = self.table
         for i, xi in x.items():
             row = table[i]
@@ -203,6 +224,8 @@ class FinDimAlgebra:
         that contains the unit, so it is the whole algebra once it
         contains a generating set.
         """
+        if self._flat is not None:
+            return self._check_associativity_flat()
         ring, table = self.tag, self.table
         columns = list(zip(*table))  # columns[k][m] = table[m][k]
         for j in self.generators:
@@ -211,6 +234,23 @@ class FinDimAlgebra:
                 ig = row[j]
                 for k, column in enumerate(columns):
                     if _combine(ring, ig, column) != _combine(ring, g_row[k], row):
+                        raise ValueError(
+                            f"structure constants not associative at {(i, j, k)}"
+                        )
+
+    def _check_associativity_flat(self):
+        """Light's test on the integer table: (b_i g) b_k and b_i (g b_k)
+        are each one cell times another, compared as (index, S S')."""
+        flat = self._flat
+        zero_row = [None] * self.dim
+        for j in self.generators:
+            g_row = flat[j]
+            for i, row in enumerate(flat):
+                ig = row[j]
+                ig_row, s = (flat[ig[0]], ig[1]) if ig else (zero_row, 0)
+                for k, (left, gk) in enumerate(zip(ig_row, g_row)):
+                    right = row[gk[0]] if gk else None
+                    if (left and (left[0], s * left[1])) != (right and (right[0], gk[1] * right[1])):
                         raise ValueError(
                             f"structure constants not associative at {(i, j, k)}"
                         )

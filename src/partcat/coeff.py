@@ -27,6 +27,12 @@ coefficient.  Each tag has an accumulator for such sums (``addmul`` and
 and addition: reduction modulo m happens once, and a rational-function
 sum takes one gcd.  That gcd comes from a primitive remainder sequence
 over Z (``_pgcd``), so its divisions stay in integers.
+
+Q tags can also write a sparse vector of payloads as integers over one
+common denominator and turn an integer quotient back into a canonical
+payload (``to_z`` and ``from_z``), so a caller can run a whole sum of
+products in ``int`` and divide once per result.  The other rings leave
+both None.
 """
 
 from __future__ import annotations
@@ -253,6 +259,19 @@ def _embed_q(q):
     return q if q.__class__ is int else _q(Fraction(q))
 
 
+def _q_to_z(vector: dict) -> tuple[dict, int]:
+    """Q payloads as integers over their least common denominator: (X, d)
+    with vector[k] == X[k] / d for every key k."""
+    d = math.lcm(*(c.denominator for c in vector.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in vector.items()}, d
+
+
+def _q_from_z(n: int, d: int):
+    """The canonical Q payload n / d, for integers n and d > 0."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _inv_poly(x: Coeffs) -> Coeffs:
     if len(x) != 1:  # the units of Q[x] are the nonzero constants
         raise DivisionByZeroError(
@@ -360,18 +379,19 @@ def _q_addmul(powers: "_Powers"):
 
 _POLY = dict(zero_payload=(), one_payload=(1,), add=_padd, sub=_psub, neg=_pneg,
              mul=_pmul, inv=_inv_poly, is_zero=operator.not_, embed=_const,
-             addmul=_addmul_into, acc_value=_trim)
+             addmul=_addmul_into, acc_value=_trim, to_z=None, from_z=None)
 _ARITHMETIC = {
     "Q": dict(zero_payload=0, one_payload=1, add=_q_add, sub=_q_sub, neg=operator.neg,
               mul=_q_mul, inv=_inv_q, is_zero=operator.not_, embed=_embed_q,
-              acc_value=_q),  # addmul multiplies by the tag's powers
+              acc_value=_q,  # addmul multiplies by the tag's powers
+              to_z=_q_to_z, from_z=_q_from_z),
     "poly": _POLY,
     "ratfun": dict(zero_payload=((), (1,)), one_payload=((1,), (1,)), add=_rf_add,
                    sub=lambda a, b: _rf_add(a, _rf_neg(b)), neg=_rf_neg,
                    mul=lambda a, b: _ratfun(_pmul(a[0], b[0]), _pmul(a[1], b[1])),
                    inv=_inv_ratfun,
                    is_zero=lambda a: not a[0], embed=lambda q: (_const(q), (1,)),
-                   addmul=_addmul_ratfun, acc_value=_rf_value),
+                   addmul=_addmul_ratfun, acc_value=_rf_value, to_z=None, from_z=None),
     "numberfield": _POLY,  # mul, inv and acc_value reduce modulo the tag's minpoly
 }
 RING_NAMES = {"Q": "Q", "poly": "Qt", "ratfun": "Qratfun", "numberfield": "Qdelta"}
@@ -402,6 +422,13 @@ class RingTag:
     ``addmul`` and ``acc_value`` sum products x*y*param^loops with one
     normalization per sum (see the functions of that name above); ``powers``
     maps an exponent to the payload param^exponent, filled on demand.
+
+    Q tags can also leave payloads for Python integers and come back, so a
+    long sum of products runs in ``int`` and divides once at the end:
+    ``to_z(vector)`` writes a sparse vector of payloads as integers over
+    their least common denominator, ``(X, d)`` with ``vector[k] == X[k] / d``,
+    and ``from_z(n, d)`` is the canonical payload n / d.  Both are None for
+    the other rings, whose payloads are not rationals.
     """
 
     kind: str

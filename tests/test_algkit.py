@@ -26,7 +26,7 @@ from partcat.algkit import (
     radical_morphisms,
     split_idempotent,
 )
-from partcat.coeff import RATFUN_D, bound_q, chebyshev_minpoly, number_field
+from partcat.coeff import RATFUN_D, RingElement, bound_q, chebyshev_minpoly, number_field
 from partcat.errors import CapExceededError, SplitError
 from partcat.linalg import Span, kernel, rank
 from partcat.pcat import PartitionDiagram, diagram_morphism, hom_basis, identity, is_negligible
@@ -506,6 +506,8 @@ ALGEBRAS = {
     "corner": _corner_algebra,
     "tl6-d1": lambda: end_algebra_tl(6, bound_q(1, "d")),
     "p3-t1": lambda: end_algebra_partition(3, 1),
+    "p2-t1/2": lambda: end_algebra_partition(2, Fraction(1, 2)),  # non-integral constants
+    "p2-t2": lambda: end_algebra_partition(2, 2),
 }
 
 
@@ -573,7 +575,7 @@ class TestAssociativityCertificate:
             with pytest.raises(ValueError, match="not associative"):
                 _build(A, _corrupted(A, i, j, cell))
 
-    @pytest.mark.parametrize("name", ["tl4-d1", "p2-t0", "corner"])
+    @pytest.mark.parametrize("name", ["tl4-d1", "p2-t0", "corner", "p2-t1/2", "p2-t2"])
     def test_agrees_with_every_triple(self, name):
         A = _algebra(name)
         assert _every_triple_associative(A.table)
@@ -581,6 +583,15 @@ class TestAssociativityCertificate:
             for cell in _corruptions(A, i, j):
                 table = _corrupted(A, i, j, cell)
                 assert _accepted(A, table) == _every_triple_associative(table), (i, j, cell)
+
+    @pytest.mark.parametrize("name", ["p2-t1/2", "p2-t2"])
+    def test_every_monomial_corruption_is_caught(self, name):
+        A = _algebra(name)
+        assert A._flat is not None  # Light's test runs on the integer table
+        for i, j in _cells(A):
+            for cell in _corruptions(A, i, j):
+                with pytest.raises(ValueError, match="not associative"):
+                    _build(A, _corrupted(A, i, j, cell))
 
     def test_standard_generators_are_used(self):
         # the walk from the unit reaches every diagram by right products of
@@ -608,6 +619,53 @@ class TestAssociativityCertificate:
         ]
         with pytest.raises(ValueError, match="not associative"):
             FinDimAlgebra(tag, ["e", "a", "b"], bad, {0: one}, "test", None, [2])
+
+
+MUL_ALGEBRAS = {
+    **{f"p2-t{t}": functools.partial(end_algebra_partition, 2, t)
+       for t in (0, 1, 2, Fraction(-3, 2), Fraction(1, 2))},
+    **{f"tl4-d{d}": functools.partial(end_algebra_tl, 4, bound_q(d, "d")) for d in (0, 1, 2)},
+    "p2-ratfun": functools.partial(end_algebra_partition, 2),  # generic t: payload by payload
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _mul_algebra(name):
+    return MUL_ALGEBRAS[name]()
+
+
+def _nonzero_rationals():
+    return st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    ).filter(bool)
+
+
+@pytest.mark.parametrize("name", list(MUL_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mul_matches_the_reference_product(name, data):
+    """A.mul equals the independent ``_product`` on boxed scalars, and its
+    result is canonical: no zero entries, and over Q an int whenever the
+    coefficient is integral."""
+    A = _mul_algebra(name)
+    ring = A.tag
+    assert (A._flat is None) == (ring.to_z is None)
+    vectors = st.dictionaries(
+        st.integers(0, A.dim - 1), _nonzero_rationals().map(ring.embed), max_size=8
+    )
+    x, y = data.draw(vectors), data.draw(vectors)
+
+    def boxed(vec):
+        return {k: RingElement(ring, c) for k, c in vec.items()}
+
+    table = [[boxed(cell) for cell in row] for row in A.table]
+    got = A.mul(x, y)
+    assert boxed(got) == _product(table, boxed(x), boxed(y))
+    for c in got.values():
+        assert not ring.is_zero(c)
+        if ring.to_z is not None:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 class TestBlockEquivalenceProfile:
