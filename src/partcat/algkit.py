@@ -5,7 +5,10 @@ structure-constant tables.  The radical is the kernel of the regular
 trace form (characteristic zero), idempotents are split in the
 semisimple quotient and Newton-lifted back, and primitive summands are
 labelled by a nonzero pairing against a symmetrizer cut at the tensor
-power their least propagating number names.
+power their least propagating number names.  The pairing reads the local
+functional of the primitive corner eAe from the regular trace,
+f(e x e) = Tr_reg(e x) / Tr_reg(e): Tr_reg kills the nilpotent part of
+eAe and is cyclic, and Tr_reg(e) = dim eA > 0.
 
 Algebra elements are sparse dicts {basis index: scalar}.  Scalars are
 payloads of the algebra's ring ``tag``, and all their arithmetic and zero
@@ -34,8 +37,8 @@ with no sampling and no check loop (the standard reduction of
 Friedl-Ronyai, *Polynomial time solutions of some problems in
 computational algebra*, 1985).  The split of an idempotent e takes the
 central idempotents of eQe from e Z(Q) all at once, then splits each
-matrix component by zero divisors.  The split and the labelling of its
-summands share the one quotient of each algebra.
+matrix component by zero divisors.  A summand is labelled only when this
+split leaves its idempotent whole: primitivity has the one certificate.
 """
 
 from __future__ import annotations
@@ -134,21 +137,7 @@ class FinDimAlgebra:
                         acc[k] = get(k, 0) + xi * yj * s
             from_z, den = ring.from_z, dx * dy * self._den
             return {k: from_z(v, den) for k, v in acc.items() if v}
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        acc = {}
-        table = self.table
-        for i, xi in x.items():
-            row = table[i]
-            for j, yj in y.items():
-                c = mul(xi, yj)
-                for k, s in row[j].items():
-                    v = acc.get(k)
-                    v = mul(c, s) if v is None else add(v, mul(c, s))
-                    if is_zero(v):
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = v
-        return acc
+        return _combine(ring, x, {i: _combine(ring, y, self.table[i]) for i in x})  # sum x_i (b_i y)
 
     def add(self, x: dict, y: dict) -> dict:
         one = self.tag.one_payload
@@ -267,14 +256,15 @@ class FinDimAlgebra:
             ]
         return self._traces
 
-    def trace_form(self) -> list:
-        """B[i][j] = Tr_reg(b_i b_j), as payloads."""
+    def regular_trace(self, x: dict):
+        """Tr_reg(x), Tr of left multiplication by x, as a payload."""
         add, mul, zero = self.tag.add, self.tag.mul, self.tag.zero_payload
         traces = self.regular_traces()
-        return [
-            [reduce(add, (mul(c, traces[k]) for k, c in cell.items()), zero) for cell in row]
-            for row in self.table
-        ]
+        return reduce(add, (mul(c, traces[k]) for k, c in x.items()), zero)
+
+    def trace_form(self) -> list:
+        """B[i][j] = Tr_reg(b_i b_j), as payloads."""
+        return [[self.regular_trace(cell) for cell in row] for row in self.table]
 
 
 def _combine(ring: RingTag, x: dict, vectors) -> dict:
@@ -409,18 +399,21 @@ class _Quotient:
 
     Complement coordinates are the A-basis indices not used as radical
     pivots, so projection is reduction by the radical's echelon rows and
-    the section embeds a quotient vector as the same sparse dict.
+    the section embeds a quotient vector as the same sparse dict.  The
+    reduction is linear, so it is kept as a matrix: ``image[k]`` is the
+    projection of basis element k, and x projects to sum_k x_k image[k].
     """
 
     def __init__(self, A: FinDimAlgebra):
         self.A = A
+        one = A.tag.one_payload
         span = Span(A.tag)
         for v in radical(A):
             span.add(v)
-        self.rad_span = span
         rad_pivots = {p for p, _, _ in span.rows}
         self.coords = [i for i in range(A.dim) if i not in rad_pivots]
-        self.basis = [{i: A.tag.one_payload} for i in self.coords]  # each is its own projection
+        self.basis = [{i: one} for i in self.coords]  # each is its own projection
+        self.image = [span.residual({k: one}) for k in range(A.dim)]
         self.unit = self.project(A.unit)
         self.center = None  # a basis of Z(A/rad), once a split asks for it
 
@@ -429,7 +422,7 @@ class _Quotient:
         return len(self.coords)
 
     def project(self, x: dict) -> dict:
-        return self.rad_span.residual(x)
+        return _combine(self.A.tag, x, self.image)
 
     def mul(self, x: dict, y: dict) -> dict:
         return self.project(self.A.mul(x, y))
@@ -770,9 +763,7 @@ def _lift_orthogonal(A: FinDimAlgebra, Q: _Quotient, e: dict, prims: List[dict])
     g = dict(e)
     for idx, f_bar in enumerate(prims):
         if idx == len(prims) - 1:
-            y = g
-            if not A.is_idempotent(y):
-                raise SplitError("residual corner is not idempotent")
+            y = g  # _check_orthogonal checks that it is idempotent
         else:
             y = A.mul(A.mul(g, f_bar), g)
             y = _newton_idempotent(A, y)
@@ -845,12 +836,27 @@ class SummandLabel:
     tensor_power: int
 
 
+def _local_functional(A: FinDimAlgebra, e: dict) -> list:
+    """f(e b_i e) for each basis element b_i, for e primitive, as
+    Tr_reg(e b_i) / Tr_reg(e) (see ``identify_summand``)."""
+    ring, one = A.tag, A.tag.one_payload
+    scale = ring.inv(A.regular_trace(e))
+    return [ring.mul(A.regular_trace(A.mul(e, {i: one})), scale) for i in range(A.dim)]
+
+
 def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
     """Label the image of a primitive idempotent e of A = End([A_n]) at t = d.
 
-    Pairings are read through the local functional f of eAe: x = c e mod
-    rad(eAe) exactly when x and c e have the same image in A/rad, and an x
-    whose image is not a multiple of e's shows that e is not primitive.
+    e is certified primitive by the split's own certificate:
+    ``split_idempotent`` leaves e whole exactly when e's image cuts a
+    one-dimensional corner of Q = A/rad.  So every x in eAe is f(x) e + r
+    with r in e rad e, and f is the local functional of eAe.  It is read
+    from the regular trace, f(e D e) = Tr_reg(e D) / Tr_reg(e), with one
+    product e D per basis diagram and no projection: r is nilpotent, so
+    Tr_reg(r) = 0; left multiplication is a representation, so
+    Tr_reg(e D e) = Tr_reg(e e D); and Tr_reg(e) = dim eA, the rank of
+    a -> e a, is a positive integer, nonzero in characteristic 0.
+
     The tensor power is the least propagating number k (blocks meeting both
     rows) of a diagram D with f(e D e) != 0: D factors through [A_k] with no
     closed loop, and every product through [A_k] is t^l times a diagram
@@ -862,30 +868,14 @@ def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
         raise ValueError("identify_summand needs End([A_n]) at a bound value of t")
     n = A.labels[0].bottom
     ring = A.tag
-    one = ring.one_payload
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else e
-    if not A.is_idempotent(e_vec):
-        raise ValueError("input is not idempotent")
-    e_mor = A.to_morphism(e_vec)
-
-    Q = _quotient(A)
-    e_bar = Q.project(e_vec)
-    if not e_bar:
+    if not e_vec:  # a nonzero idempotent is not nilpotent, so never in the radical
         raise ValueError("the idempotent is zero")
-    key = min(e_bar)
-    e_key_inv = ring.inv(e_bar[key])
-    # pairing values through each End basis diagram
-    sandwich = {}
-    for i, label in enumerate(A.labels):
-        x_bar = Q.project(A.mul(A.mul(e_vec, {i: one}), e_vec))
-        c = ring.mul(x_bar.get(key, ring.zero_payload), e_key_inv)
-        if x_bar != A.scale(e_bar, c):
-            raise ValueError(
-                "corner element not a multiple of e mod the radical: the idempotent is not primitive"
-            )
-        sandwich[label] = c
+    if len(split_idempotent(A, e_vec)) != 1:  # which also rejects a non-idempotent
+        raise ValueError("the idempotent is not primitive: the split refines it")
+    f = dict(zip(A.labels, _local_functional(A, e_vec)))
     add, mul, is_zero, zero = ring.add, ring.mul, ring.is_zero, ring.zero_payload
-    k = min(_propagating(d) for d, c in sandwich.items() if not is_zero(c))
+    k = min(_propagating(d) for d, c in f.items() if not is_zero(c))
     homs_down = [diagram_morphism(h, ring) for h in hom_basis(n, k) if _propagating(h) == k]
     homs_up = [diagram_morphism(g, ring) for g in hom_basis(k, n) if _propagating(g) == k]
 
@@ -895,7 +885,7 @@ def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
             yh = y @ h
             for g in homs_up:
                 terms = (g @ yh).terms.items()
-                if not is_zero(reduce(add, (mul(c, sandwich[d]) for d, c in terms), zero)):
+                if not is_zero(reduce(add, (mul(c, f[d]) for d, c in terms), zero)):
                     return True
         return False
 
@@ -905,4 +895,4 @@ def identify_summand(A: FinDimAlgebra, e) -> SummandLabel:
             f"summand at power {k} pairs with {len(winners)} labels",
             winners,
         )
-    return SummandLabel(diagram=winners[0], dim=e_mor.trace(), tensor_power=k)
+    return SummandLabel(diagram=winners[0], dim=A.to_morphism(e_vec).trace(), tensor_power=k)

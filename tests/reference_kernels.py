@@ -135,6 +135,26 @@ def euclid_gcd(a: tuple, b: tuple) -> tuple:
 # summand labels by the scan over every tensor power
 
 
+def local_functional(A, e: dict) -> dict:
+    """{diagram D: f(e D e)} for a primitive idempotent e of A, read through
+    A/rad: e D e projects to f(e D e) times e's image, and to a multiple
+    of it for every D, else AssertionError (e is not primitive)."""
+    from partcat import algkit
+
+    ring = A.tag
+    Q = algkit._quotient(A)
+    e_bar = Q.project(e)
+    key = min(e_bar)
+    e_key_inv = ring.inv(e_bar[key])
+    f = {}
+    for i, label in enumerate(A.labels):
+        x_bar = Q.project(A.mul(A.mul(e, {i: ring.one_payload}), e))
+        c = ring.mul(x_bar.get(key, ring.zero_payload), e_key_inv)
+        assert x_bar == A.scale(e_bar, c), "e D e is not a multiple of e modulo the radical"
+        f[label] = c
+    return f
+
+
 def identify_summand_scan(A, e: dict):
     """(winning partitions, tensor power) for a primitive idempotent e of
     A = End([A_n]) at a bound t, by the scan ``algkit.identify_summand``
@@ -144,23 +164,17 @@ def identify_summand_scan(A, e: dict):
     of [A_k] pairs, and the winners are the partitions of k whose
     symmetrizer cut pairs.  A cut y pairs when f(e g y h e) != 0 for some
     g, h in the full Hom(k, n) x Hom(n, k), composed by ``compose`` above;
-    f is the local functional of eAe read through A/rad.
+    f is the local functional of eAe read through A/rad
+    (``local_functional``), not through the regular trace as
+    ``algkit.identify_summand`` reads it.
     """
-    from partcat import algkit
     from partcat.pcat import PartitionDiagram, hom_basis, identity
     from partcat.young import partitions_of, pt_power_idempotent
 
     ring = A.tag
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     n = A.labels[0].bottom
-    Q = algkit._quotient(A)
-    e_bar = Q.project(e)
-    key = min(e_bar)
-    e_key_inv = ring.inv(e_bar[key])
-    f = {}
-    for i, label in enumerate(A.labels):
-        x_bar = Q.project(A.mul(A.mul(e, {i: ring.one_payload}), e))
-        f[label] = mul(x_bar.get(key, ring.zero_payload), e_key_inv)
+    f = local_functional(A, e)
 
     def pairs(k: int, mid_terms) -> bool:
         for h in hom_basis(n, k):

@@ -384,6 +384,23 @@ class TestIdentify:
         assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", [0, 1, 2, Fraction(1, 2)], ids=["0", "1", "2", "1/2"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_trace_functional_is_the_projection_coefficient(n, t):
+    """Tr_reg(e D) / Tr_reg(e) is the coefficient of e's image in the
+    projection of e D e onto A/rad, for every primitive e the split gives
+    and every basis diagram D; and Tr_reg(e) is dim eA."""
+    A = end_algebra_partition(n, t)
+    one = A.tag.one_payload
+    for e in split_idempotent(A, A.unit).idempotents:
+        by_trace = dict(zip(A.labels, algkit._local_functional(A, e)))
+        assert by_trace == reference.local_functional(A, e)
+        eA = Span(A.tag)
+        for i in range(A.dim):
+            eA.add(A.mul(e, {i: one}))
+        assert A.regular_trace(e) == eA.dim > 0
+
+
 class TestJsonDump:
     def test_algebra_dump(self):
         import json
