@@ -35,10 +35,11 @@ The images of S generate the semisimple quotient Q = A/rad, so the
 center Z(Q) is their commutant: one elimination over |S| constraints,
 with no sampling and no check loop (the standard reduction of
 Friedl-Ronyai, *Polynomial time solutions of some problems in
-computational algebra*, 1985).  The split of an idempotent e takes the
-central idempotents of eQe from e Z(Q) all at once, then splits each
-matrix component by zero divisors.  A summand is labelled only when this
-split leaves its idempotent whole: primitivity has the one certificate.
+computational algebra*, 1985).  Refining the unit by Z(Q) gives the
+simple blocks c of Q once per quotient, and an idempotent e is split by
+zero divisors inside each block, in the corner of e c.  A summand is
+labelled only when this split leaves its idempotent whole: primitivity
+has the one certificate.
 """
 
 from __future__ import annotations
@@ -415,7 +416,7 @@ class _Quotient:
         self.basis = [{i: one} for i in self.coords]  # each is its own projection
         self.image = [span.residual({k: one}) for k in range(A.dim)]
         self.unit = self.project(A.unit)
-        self.center = None  # a basis of Z(A/rad), once a split asks for it
+        self.blocks = None  # the simple blocks (c, basis of cQc), once a split asks for them
 
     @property
     def dim(self):
@@ -547,21 +548,23 @@ class _SplitContext:
                 acc = self.A.add(acc, self.A.scale(unit, c))
         return acc
 
-    def center_of(self, e: dict) -> List[dict]:
-        """A basis of the center of the corner eQe, for Q = A/rad.
+    def center_of(self) -> List[dict]:
+        """A basis of the center Z(Q) of Q = A/rad: the commutant of the
+        images of ``A.generators``, which generate Q."""
+        one = self.ring.one_payload
+        return self._commutant([self.Q.project({g: one}) for g in self.A.generators])
 
-        Z(Q) is the commutant of the images of ``A.generators``, which
-        generate Q; it is computed once per quotient.  In a semisimple
-        algebra e cuts each simple block to a smaller simple block, so
-        Z(eQe) = e Z(Q).
-        """
-        Q, one = self.Q, self.ring.one_payload
-        if Q.center is None:
-            Q.center = self._commutant([Q.project({g: one}) for g in self.A.generators])
-        if e == Q.unit:
-            return Q.center
-        span = Span(self.ring)
-        return [z for z in (self.mul(e, z) for z in Q.center) if span.add(z)]
+    def blocks(self) -> List[tuple]:
+        """The simple blocks of Q, each as (c, a basis of cQc), found once per
+        quotient: refining the unit by Z(Q) gives every central primitive
+        idempotent c at once.  cQc is M_m(Q) when Q is split: m^2 = dim cQc."""
+        Q = self.Q
+        if Q.blocks is None:
+            parts = [Q.unit]
+            for z in self.center_of():  # p z = p z p: z is central
+                parts = [c for p in parts for c in self._central_split(self.mul(p, z), p)]
+            Q.blocks = [(c, self._cut_corner(Q.basis, c, central=True)) for c in parts]
+        return Q.blocks
 
     def _commutant(self, generators: List[dict]) -> List[dict]:
         """A basis of the elements of Q that commute with the generators.
@@ -588,31 +591,26 @@ class _SplitContext:
 
     # -- splitting ----------------------------------------------------------
 
-    def split_groups(self, e: dict, corner: List[dict]) -> List[List[dict]]:
-        """Primitive idempotents refining e, grouped by matrix component.
+    def split_groups(self, e: dict) -> List[List[dict]]:
+        """Primitive idempotents refining an idempotent e of Q, by block.
 
-        The center of eQe yields every central primitive idempotent at
-        once; each component is then split by zero divisors.  Idempotents
-        in one group are conjugate modulo the radical, so their images are
-        isomorphic summands.
+        In a block c, f = e c is idempotent (c is central), and each nonzero
+        f is split by zero divisors in fQf: cQc when f = c, else cut from
+        cQc.  Idempotents in one group are conjugate modulo the radical, so
+        their images are isomorphic summands.  Over a ring other than Q,
+        only an e with a one-dimensional corner eQe is split (to itself).
         """
-        if len(corner) <= 1:
-            return [[e]]
         if not self.ring.splits_over_q:
-            raise SplitError(f"idempotent refinement is only supported over Q, not {self.ring.name}")
-        components = self._central_components(self.center_of(e), e)
-        return [self._split_component(c, self._cut_corner(corner, c, central=True))
-                for c in components]
-
-    def _central_components(self, center: List[dict], e: dict) -> List[dict]:
-        """Refine e by every central element: the component idempotents."""
-        parts = [e]
-        for z in center:
-            nxt = []
-            for p in parts:
-                nxt.extend(self._central_split(self.mul(p, z), p))  # p z = p z p: z is central
-            parts = nxt
-        return parts
+            if len(self._cut_corner(self.Q.basis, e, central=False)) > 1:
+                raise SplitError(f"idempotent refinement is only supported over Q, not {self.ring.name}")
+            return [[e]]
+        groups = []
+        for c, corner in self.blocks():
+            f = self.mul(e, c)
+            if f:
+                fQf = corner if f == c else self._cut_corner(corner, f, central=False)
+                groups.append(self._split_component(f, fQf))
+        return groups
 
     def _split_component(self, e: dict, corner: List[dict]) -> List[dict]:
         """Zero-divisor refinement inside a single matrix component."""
@@ -713,10 +711,10 @@ class IdempotentDecomposition:
 def split_idempotent(A: FinDimAlgebra, e) -> IdempotentDecomposition:
     """Refine an idempotent into primitive orthogonal idempotents.
 
-    Splitting happens in the semisimple quotient Q: the central
-    idempotents of eQe come from e Z(Q) in one pass, then zero divisors
-    split each matrix component.  The pieces are lifted through the
-    radical by the Newton iteration 3e^2 - 2e^3.
+    Splitting happens in the semisimple quotient Q, one simple block of
+    Q at a time (see ``_SplitContext.split_groups``); the blocks are found
+    once per quotient.  The pieces are lifted through the radical by the
+    Newton iteration 3e^2 - 2e^3.
     """
     e_vec = A.from_morphism(e) if not isinstance(e, dict) else dict(e)
     if not e_vec:
@@ -724,10 +722,7 @@ def split_idempotent(A: FinDimAlgebra, e) -> IdempotentDecomposition:
     if not A.is_idempotent(e_vec):
         raise ValueError("input is not idempotent")
     Q = _quotient(A)
-    ctx = _SplitContext(Q)
-    e_bar = Q.project(e_vec)
-    corner = Q.basis if e_bar == Q.unit else ctx._cut_corner(Q.basis, e_bar, central=False)
-    groups = ctx.split_groups(e_bar, corner)
+    groups = _SplitContext(Q).split_groups(Q.project(e_vec))
     prims = [f_bar for group in groups for f_bar in group]
     comp_ids = [gid for gid, group in enumerate(groups) for _ in group]
     lifted = _lift_orthogonal(A, Q, e_vec, prims)

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +202,33 @@ class TestSplit:
         assert A.add(g1, g2) == e
         assert A.mul(g1, g2) == {} and A.mul(g2, g1) == {}
 
+    def test_split_of_a_rank_two_part_of_one_block(self):
+        # End([A_2]) at t = 1 holds L([1]) three times: one block M_3(Q) of A/rad
+        A = end_algebra_partition(2, 1)
+        dec = split_idempotent(A, A.unit)
+        (block,) = [c for c in set(dec.component) if dec.component.count(c) == 3]
+        f1, f2, _ = [f for f, c in zip(dec.idempotents, dec.component) if c == block]
+        e = A.add(f1, f2)
+        part = split_idempotent(A, e)
+        assert len(part) == 2 and len(set(part.component)) == 1
+        g1, g2 = part.idempotents
+        assert A.add(g1, g2) == e
+        assert A.mul(g1, g2) == {} and A.mul(g2, g1) == {}
+        for g in part.idempotents:
+            assert split_idempotent(A, g).idempotents == [g]
+
+    def test_split_over_a_ring_that_does_not_split_over_q(self):
+        # over Q(t) an idempotent whose corner of A/rad is one-dimensional
+        # splits to itself; any other raises
+        A = end_algebra_partition(1)
+        e = {A.labels.index(E_DIAGRAM): A.tag.inv(A.tag.parameter_payload())}  # e^2 = t e
+        dec = split_idempotent(A, e)
+        assert dec.idempotents == [e] and dec.component == [0]
+        point = end_algebra_partition(0)
+        assert split_idempotent(point, point.unit).idempotents == [point.unit]
+        with pytest.raises(SplitError, match="only supported over Q"):
+            split_idempotent(A, A.unit)
+
     @pytest.mark.parametrize("param", [0, 1, 2])
     @pytest.mark.parametrize("source, n", [("tl", 4), ("tl", 5), ("partition", 2)])
     def test_lifted_idempotents_are_primitive(self, source, n, param):
@@ -261,13 +289,14 @@ LOCAL_QUOTIENTS = {("partition", 0, t) for t in (0, 1, 2)} | {("partition", 1, 0
 
 
 class TestCenter:
-    """center_of against the commutant of the whole basis (brute force)."""
+    """center_of and the simple blocks against commutants of whole bases
+    (brute force)."""
 
     @pytest.mark.parametrize("source, n, param", CENTER_CASES)
     def test_center_of_quotient(self, source, n, param):
         A = _center_case(source, n, param)
         Q = _Quotient(A)
-        center = _SplitContext(Q).center_of(Q.unit)
+        center = _SplitContext(Q).center_of()
         assert _same_span(A.tag, center, _brute_center(Q, Q.basis))
         for z in center:
             for v in Q.basis:
@@ -275,17 +304,34 @@ class TestCenter:
 
     @pytest.mark.parametrize("source, n, param", [c for c in CENTER_CASES if c not in LOCAL_QUOTIENTS])
     def test_center_of_corner(self, source, n, param):
-        # e is the sum of primitives from two components, so eQe is not simple
+        # e is the sum of primitives from two components, so eQe is not simple;
+        # its center is spanned by its parts e c in the blocks c of Q
         A = _center_case(source, n, param)
         Q = _Quotient(A)
         e = Q.project(A.add(*_primitives_of_two_components(A)))
         span = Span(A.tag)
         corner = [w for v in Q.basis if span.add(w := Q.mul(Q.mul(e, v), e))]
-        center = _SplitContext(Q).center_of(e)
-        assert _same_span(A.tag, center, _brute_center(Q, corner))
-        for z in center:
-            for v in corner:
-                assert Q.mul(z, v) == Q.mul(v, z)
+        parts = [f for c, _ in _SplitContext(Q).blocks() if (f := Q.mul(e, c))]
+        assert len(parts) == 2
+        assert _same_span(A.tag, parts, _brute_center(Q, corner))
+
+    @pytest.mark.parametrize("source, n, param", CENTER_CASES)
+    def test_blocks_of_quotient(self, source, n, param):
+        A = _center_case(source, n, param)
+        Q = _Quotient(A)
+        blocks = _SplitContext(Q).blocks()
+        total = {}
+        for i, (c, corner) in enumerate(blocks):
+            assert Q.mul(c, c) == c
+            for v in Q.basis:
+                assert Q.mul(c, v) == Q.mul(v, c)
+            for other, _ in blocks[i + 1:]:
+                assert Q.mul(c, other) == {}
+            assert all(Q.mul(c, w) == w for w in corner)
+            assert math.isqrt(len(corner)) ** 2 == len(corner)
+            total = A.add(total, c)
+        assert total == Q.unit
+        assert sum(len(corner) for _, corner in blocks) == Q.dim
 
 
 class TestCornerAlgebra:
