@@ -5,9 +5,18 @@ diagram; its image behaves like a configuration of n distinct points.
 This module builds the associated structure maps (multiplication, unit,
 module actions, the point-insertion maps and their images ``x_{n,j}``,
 and the relative tensor realizations tau/nu) and verifies the defining
-identities as exact equalities of linear combinations over Q[t].  Apart
-from x_n, x_{n+1} and the x_{n,j}, each map is built the first time a
-check reads it, so a family composes only the maps it uses.
+identities as exact equalities of linear combinations over Q[t].
+
+The structure maps and every family but ``xn_idempotent`` live in orbit
+coordinates (``pcat.OrbitMorphism``), where x_n is the single term o_id
+and x_{n,j} the single term Theta_j(o_id): a map that sandwiches x_n has a
+handful of terms there, against hundreds of diagrams.  The generators
+are converted once by ``pcat.to_orbit``.  The change of basis is
+unitriangular over Z, so a check passes in orbit coordinates exactly when
+it passes on diagrams.  ``x_n``, ``trace_x``, the ``xn_idempotent`` family
+and ``object_split_check`` stay on diagrams, as the definition-level
+witnesses.  Apart from x_n, x_{n+1} and the x_{n,j}, each map is built the
+first time a check reads it, so a family composes only the maps it uses.
 """
 
 from __future__ import annotations
@@ -19,9 +28,12 @@ from typing import Dict, List, Optional, Sequence
 
 from .coeff import POLY_T, RATFUN_T, RingElement, RingTag
 from .errors import CapExceededError
+from .lincomb import LinComb
 from .pcat import (
     Morphism,
+    OrbitMorphism,
     PartitionDiagram,
+    _falling,
     _raw,
     braiding,
     coev,
@@ -30,8 +42,8 @@ from .pcat import (
     identity,
     mu,
     set_partitions,
+    to_orbit,
     unit,
-    zero,
 )
 
 # feasibility bounds per verification family (configurable per call)
@@ -101,13 +113,15 @@ def _theta_diagram(d: PartitionDiagram, j: int, add_source: bool, add_target: bo
     earlier point's block, so the word stays restricted-growth.
     """
     a, w = d.bottom, d.word
-    bottom = w[:a] + (w[j - 1],) * add_source
-    top = w[a:] + (w[a + j - 1],) * add_target
+    # the other row may have fewer than j points, so index only the row that grows
+    bottom = w[:a] + ((w[j - 1],) if add_source else ())
+    top = w[a:] + ((w[a + j - 1],) if add_target else ())
     return _raw(PartitionDiagram, len(bottom), len(top), bottom + top, d.nblocks)
 
 
-def theta(f: Morphism, j: int, variant: str) -> Morphism:
-    """Linear extension of the strand-insertion map.
+def theta(f, j: int, variant: str):
+    """Linear extension of the strand-insertion map, on diagrams or in
+    orbit coordinates (it maps d_pi to d_pi' and o_pi to o_pi' alike).
 
     variant "source": Hom(A_n, X) -> Hom(A_{n+1}, X);
     variant "target": Hom(X, A_n) -> Hom(X, A_{n+1});
@@ -125,7 +139,7 @@ def theta(f: Morphism, j: int, variant: str) -> Morphism:
     for d, c in f.terms.items():
         nd = _theta_diagram(d, j, add_source, add_target)
         terms[nd] = add(terms[nd], c) if nd in terms else c
-    return Morphism.from_payloads(
+    return type(f).from_payloads(
         f.source + (1 if add_source else 0),
         f.target + (1 if add_target else 0),
         f.ring,
@@ -168,10 +182,23 @@ def x_nj(n: int, j: int, ring: RingTag = POLY_T) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# structure maps
+# structure maps, in orbit coordinates
 
 
-def compose_chain(factors: Sequence[Morphism]) -> Morphism:
+@lru_cache(maxsize=None)
+def _orbit(generator, *args) -> OrbitMorphism:
+    """``generator(*args)`` (mu, braiding, identity, ...) in orbit coordinates,
+    converted once."""
+    return to_orbit(generator(*args))
+
+
+def _orbit_x(n: int, ring: RingTag) -> OrbitMorphism:
+    """x_n in orbit coordinates: the single term o_id."""
+    (id_n,) = identity(n, ring).terms
+    return OrbitMorphism(n, n, ring, {id_n: 1})
+
+
+def compose_chain(factors: Sequence[LinComb]) -> LinComb:
     """Compose left-to-right as written: factors[0] is applied last."""
     out = factors[0]
     for f in factors[1:]:
@@ -181,7 +208,8 @@ def compose_chain(factors: Sequence[Morphism]) -> Morphism:
 
 @dataclass(frozen=True)
 class DeltaMaps:
-    """The structure maps attached to the n-points object and its modules.
+    """The structure maps attached to the n-points object and its modules,
+    in orbit coordinates.
 
     ``x``, ``x_next`` and ``x_j`` are held; every other map is built from
     the chain its comment names the first time it is read, then kept.
@@ -189,17 +217,17 @@ class DeltaMaps:
 
     n: int
     ring: RingTag
-    x: Morphism  # x_n
-    x_next: Morphism  # x_{n+1}
+    x: OrbitMorphism  # x_n
+    x_next: OrbitMorphism  # x_{n+1}
     x_j: tuple  # x_{n,j} for j = 1..n
 
     @cached_property
-    def mult(self) -> Morphism:  # x_n mu_n (x_n (x) x_n)
-        return compose_chain([self.x, mu(self.n, self.ring), self.x.tensor(self.x)])
+    def mult(self) -> OrbitMorphism:  # x_n mu_n (x_n (x) x_n)
+        return compose_chain([self.x, _orbit(mu, self.n, self.ring), self.x.tensor(self.x)])
 
     @cached_property
-    def unit(self) -> Morphism:  # x_n 1_n
-        return self.x @ unit(self.n, self.ring)
+    def unit(self) -> OrbitMorphism:  # x_n 1_n
+        return self.x @ _orbit(unit, self.n, self.ring)
 
     @cached_property
     def alpha(self) -> tuple:  # per j: x_{n,j} Theta^j_target(x_n) x_n
@@ -209,58 +237,58 @@ class DeltaMaps:
         )
 
     @cached_property
-    def psi(self) -> Morphism:  # x_{n+1} (mu_n (x) id) (x_n (x) x_{n+1})
+    def psi(self) -> OrbitMorphism:  # x_{n+1} (mu_n (x) id) (x_n (x) x_{n+1})
         xn, xn1 = self.x, self.x_next
-        mun = mu(self.n, self.ring)
-        return compose_chain([xn1, mun.tensor(identity(1, self.ring)), xn.tensor(xn1)])
+        mun_id = _orbit(mu, self.n, self.ring).tensor(_orbit(identity, 1, self.ring))
+        return compose_chain([xn1, mun_id, xn.tensor(xn1)])
 
     @cached_property
-    def tau(self) -> Morphism:  # identity realization on the double module
+    def tau(self) -> OrbitMorphism:  # identity realization on the double module
         xn, xn1 = self.x, self.x_next
-        b11 = braiding(1, 1, self.ring)
-        id1 = identity(1, self.ring)
+        b11 = _orbit(braiding, 1, 1, self.ring)
+        id1 = _orbit(identity, 1, self.ring)
         return compose_chain(
             [xn.tensor(b11), xn1.tensor(id1), xn.tensor(b11), xn1.tensor(id1)]
         )
 
     @cached_property
-    def nu(self) -> Morphism:  # identity realization on the triple module
+    def nu(self) -> OrbitMorphism:  # identity realization on the triple module
         xn, xn1, ring = self.x, self.x_next, self.ring
         return compose_chain(
             [
-                xn.tensor(braiding(1, 2, ring)),
-                xn1.tensor(identity(2, ring)),
-                xn.tensor(braiding(2, 1, ring)),
-                self.tau.tensor(identity(1, ring)),
+                xn.tensor(_orbit(braiding, 1, 2, ring)),
+                xn1.tensor(_orbit(identity, 2, ring)),
+                xn.tensor(_orbit(braiding, 2, 1, ring)),
+                self.tau.tensor(_orbit(identity, 1, ring)),
             ]
         )
 
     @cached_property
-    def mult_plus(self) -> Morphism:  # x_{n+1} (x_n (x) mu_1) tau
-        return compose_chain([self.x_next, self.x.tensor(mu(1, self.ring)), self.tau])
+    def mult_plus(self) -> OrbitMorphism:  # x_{n+1} (x_n (x) mu_1) tau
+        return compose_chain([self.x_next, self.x.tensor(_orbit(mu, 1, self.ring)), self.tau])
 
     @cached_property
-    def unit_plus(self) -> Morphism:  # x_{n+1} (x_n (x) 1_1)
-        return self.x_next @ self.x.tensor(unit(1, self.ring))
+    def unit_plus(self) -> OrbitMorphism:  # x_{n+1} (x_n (x) 1_1)
+        return self.x_next @ self.x.tensor(_orbit(unit, 1, self.ring))
 
     @cached_property
-    def braid_plus(self) -> Morphism:  # tau (x_n (x) beta_{1,1}) tau
-        return compose_chain([self.tau, self.x.tensor(braiding(1, 1, self.ring)), self.tau])
+    def braid_plus(self) -> OrbitMorphism:  # tau (x_n (x) beta_{1,1}) tau
+        return compose_chain([self.tau, self.x.tensor(_orbit(braiding, 1, 1, self.ring)), self.tau])
 
     @cached_property
-    def ev_plus(self) -> Morphism:  # x_n (x_n (x) ev_1) tau
-        return compose_chain([self.x, self.x.tensor(ev(1, self.ring)), self.tau])
+    def ev_plus(self) -> OrbitMorphism:  # x_n (x_n (x) ev_1) tau
+        return compose_chain([self.x, self.x.tensor(_orbit(ev, 1, self.ring)), self.tau])
 
     @cached_property
-    def coev_plus(self) -> Morphism:  # tau (x_n (x) coev_1) x_n
-        return compose_chain([self.tau, self.x.tensor(coev(1, self.ring)), self.x])
+    def coev_plus(self) -> OrbitMorphism:  # tau (x_n (x) coev_1) x_n
+        return compose_chain([self.tau, self.x.tensor(_orbit(coev, 1, self.ring)), self.x])
 
     @cached_property
-    def mult_tensor_id(self) -> Morphism:
+    def mult_tensor_id(self) -> OrbitMorphism:
         # (x_n (x) beta_{1,1}) (x_{n+1} (x) id_1) (x_n (x) beta_{1,1}) (mult_plus (x) id_1)
         xn, ring = self.x, self.ring
-        b11 = braiding(1, 1, ring)
-        id1 = identity(1, ring)
+        b11 = _orbit(braiding, 1, 1, ring)
+        id1 = _orbit(identity, 1, ring)
         return compose_chain(
             [
                 xn.tensor(b11),
@@ -272,16 +300,18 @@ class DeltaMaps:
 
 
 def delta_maps(n: int, ring: RingTag = POLY_T) -> DeltaMaps:
-    """The structure maps of the n-points object, each built on first use.
+    """The structure maps of the n-points object in orbit coordinates, each
+    built on first use.
 
-    Only x_n, x_{n+1} and the x_{n,j} are built here; every other map is
-    composed exactly, as a linear combination, when a caller first reads it.
+    Only x_n, x_{n+1} and the x_{n,j}, single orbit terms, are built here;
+    every other map is composed exactly, as a linear combination, when a
+    caller first reads it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    xn = x_n(n, ring)
-    xj = tuple(x_nj(n, j, ring) for j in range(1, n + 1))
-    return DeltaMaps(n=n, ring=ring, x=xn, x_next=x_n(n + 1, ring), x_j=xj)
+    xn = _orbit_x(n, ring)
+    xj = tuple(theta(xn, j, "endo") for j in range(1, n + 1))
+    return DeltaMaps(n=n, ring=ring, x=xn, x_next=_orbit_x(n + 1, ring), x_j=xj)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +381,8 @@ def verify_suite(
 
     All comparisons are exact equalities of canonical linear combinations
     over the polynomial ring, so a pass certifies the identity for every
-    parameter value at once.
+    parameter value at once.  ``xn_idempotent`` compares diagrams; the
+    other families compare orbit coordinates.
     """
     _family_cap(family, n, cap)
     report = VerificationReport(family, n)
@@ -364,7 +395,7 @@ def verify_suite(
 
     maps = delta_maps(n, ring)
     xn, xn1, xj = maps.x, maps.x_next, maps.x_j
-    id1 = identity(1, ring)
+    id1 = _orbit(identity, 1, ring)
 
     if family == "deltalg":
         report.add(
@@ -376,19 +407,19 @@ def verify_suite(
         report.add("D2-right", maps.mult @ xn.tensor(maps.unit), xn)
         report.add(
             "D3",
-            compose_chain([maps.mult, braiding(n, n, ring), xn.tensor(xn)]),
+            compose_chain([maps.mult, _orbit(braiding, n, n, ring), xn.tensor(xn)]),
             maps.mult,
         )
         return report
 
     if family == "deltaj":
         js = [j] if j is not None else list(range(1, n + 1))
-        idn = identity(n, ring)
+        idn = _orbit(identity, n, ring)
         for jj in js:
             if not 1 <= jj <= n:
                 raise ValueError(f"j = {jj} out of range 1..{n}")
             k = jj - 1
-            tmu = theta_mu(n, jj, ring)
+            tmu = _orbit(theta_mu, n, jj, ring)
             inner = compose_chain([xj[k], theta(xn, jj, "target"), maps.mult])
             lhs = compose_chain([xj[k], tmu, inner.tensor(xj[k])])
             rhs = compose_chain(
@@ -407,14 +438,14 @@ def verify_suite(
         return report
 
     if family == "dplus1":
-        mun_id = mu(n, ring).tensor(id1)
+        mun_id = _orbit(mu, n, ring).tensor(id1)
         lhs = compose_chain([xn1, mun_id, maps.mult.tensor(xn1)])
         rhs = compose_chain([xn1, mun_id, xn.tensor(maps.psi)])
         report.add("Dplus1", lhs, rhs)
         return report
 
     if family == "ortho":
-        zero_next = zero(n + 1, n + 1, ring)
+        zero_next = OrbitMorphism(n + 1, n + 1, ring)
         total = xn1
         for piece in xj:
             total = total + piece
@@ -433,15 +464,15 @@ def verify_suite(
         return report
 
     if family == "psi":
-        idem, zero_next = xn.tensor(id1), zero(n + 1, n + 1, ring)
+        idem, zero_next = xn.tensor(id1), OrbitMorphism(n + 1, n + 1, ring)
         mult_id = maps.mult.tensor(id1)
-        lhs = compose_chain([xn1, mu(n, ring).tensor(id1), xn.tensor(xn1 @ idem)])
+        lhs = compose_chain([xn1, _orbit(mu, n, ring).tensor(id1), xn.tensor(xn1 @ idem)])
         rhs = xn1 @ mult_id
         report.add("Psi[top]", lhs, rhs)
         for jj in range(1, n + 1):
             k = jj - 1
             lhs = compose_chain(
-                [xj[k], theta_mu(n, jj, ring), maps.alpha[k].tensor(xj[k] @ idem)]
+                [xj[k], _orbit(theta_mu, n, jj, ring), maps.alpha[k].tensor(xj[k] @ idem)]
             )
             rhs = xj[k] @ mult_id
             report.add(f"Psi[j={jj}]", lhs, rhs)
@@ -459,15 +490,15 @@ def verify_suite(
         return report
 
     if family == "azero":
-        b11 = braiding(1, 1, ring)
+        b11 = _orbit(braiding, 1, 1, ring)
         lhs = compose_chain([maps.mult_plus, maps.mult_tensor_id, maps.nu])
         rhs = compose_chain(
             [
                 maps.mult_plus,
                 xn.tensor(b11),
                 maps.mult_plus.tensor(id1),
-                xn.tensor(braiding(1, 2, ring)),
-                xn1.tensor(identity(2, ring)),
+                xn.tensor(_orbit(braiding, 1, 2, ring)),
+                xn1.tensor(_orbit(identity, 2, ring)),
                 maps.nu,
             ]
         )
@@ -495,7 +526,7 @@ def verify_suite(
 
     if family == "nondegenerate":
         id_tensor_coev = compose_chain(
-            [xn.tensor(braiding(2, 1, ring)), maps.coev_plus.tensor(id1), xn1]
+            [xn.tensor(_orbit(braiding, 2, 1, ring)), maps.coev_plus.tensor(id1), xn1]
         )
         trace_map = compose_chain(
             [maps.ev_plus, maps.braid_plus, maps.mult_tensor_id, id_tensor_coev]
@@ -521,11 +552,8 @@ def trace_x(n: int, ring: RingTag = POLY_T, cap: int = 8) -> RingElement:
 
 
 def falling_factorial(n: int, ring: RingTag = POLY_T) -> RingElement:
-    out = ring.one()
-    t = ring.parameter()
-    for k in range(n):
-        out = out * (t - ring.from_fraction(k))
-    return out
+    """t(t-1)...(t-n+1), the weight the orbit product gives n closed blocks."""
+    return RingElement(ring, _falling(ring, 0, n))
 
 
 def object_split_check(d: int, cap: Optional[int] = None) -> VerificationReport:

@@ -51,16 +51,18 @@ _BY_DOC_KIND: Dict[Optional[str], type] = {}
 class LinComb:
     """A finite linear combination of diagrams a -> b of one kind.
 
-    Subclasses bind ``kind`` and nothing else; they register themselves
-    as the reader of documents with that kind's ``"kind"`` value.
+    Subclasses bind ``kind``; they register themselves as the reader of
+    documents with that kind's ``"kind"`` value unless declared with
+    ``reader=False``.
     """
 
     __slots__ = ("source", "target", "ring", "terms")
     kind: DiagramKind
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, reader: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        _BY_DOC_KIND[cls.kind.doc_kind] = cls
+        if reader:
+            _BY_DOC_KIND[cls.kind.doc_kind] = cls
 
     def __init__(self, source: int, target: int, ring: RingTag, terms=None):
         """Coefficients are elements of ``ring`` or rationals."""
@@ -171,14 +173,17 @@ class LinComb:
 
     # -- categorical structure --------------------------------------------
 
-    def __matmul__(self, other):
-        """Composition self after other (self . other)."""
+    def _require_composable(self, other: "LinComb"):
         self._require_same(other)
         if other.target != self.source:
             raise ValueError(
                 f"cannot compose {self.source}->{self.target} after "
                 f"{other.source}->{other.target}"
             )
+
+    def __matmul__(self, other):
+        """Composition self after other (self . other)."""
+        self._require_composable(other)
         compose = self.kind.compose
         ring = self.ring
         addmul, acc_value, is_zero = ring.addmul, ring.acc_value, ring.is_zero

@@ -12,7 +12,9 @@ by parameter^l where l counts the interior parts of the stacked join.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from .coeff import POLY_T, RingElement, RingTag
@@ -225,6 +227,192 @@ class Morphism(LinComb):
     kind = PARTITION
     # perfbench/tracer.py wraps these through vars(Morphism), so they are bound here
     __matmul__, tensor, trace = LinComb.__matmul__, LinComb.tensor, LinComb.trace
+
+
+# ---------------------------------------------------------------------------
+# orbit coordinates
+#
+# The orbit basis of Benkart-Halverson (*Partition algebras and the
+# invariant theory of the symmetric group*, 2019) is defined by
+# d_pi = sum over the coarsenings rho of pi of o_rho.  At t = N, o_pi sends
+# an index tuple to those whose equal indices are exactly pi's blocks.  The
+# change of basis is unitriangular over Z, so an equality checked in orbit
+# coordinates is an exact certificate over the ring.  Orbit terms are
+# stored as the PartitionDiagram of their set partition.
+
+
+def _matchings(left: tuple, right: tuple) -> Iterator[tuple]:
+    """Every partial matching of ``left`` with ``right``, as (l, r) pairs."""
+    if not left:
+        yield ()
+        return
+    x, rest = left[0], left[1:]
+    yield from _matchings(rest, right)
+    for i, y in enumerate(right):
+        for m in _matchings(rest, right[:i] + right[i + 1 :]):
+            yield ((x, y),) + m
+
+
+def _merges(cls, bottom: int, top: int, labels: list, left: tuple, right: tuple) -> tuple:
+    """The diagrams whose blocks are the classes of ``labels``, with the
+    pairs of each partial matching of ``left`` with ``right`` merged."""
+    out = []
+    for m in _matchings(left, right):
+        into = dict((r, l) for l, r in m)
+        word, nblocks = _relabel([into.get(x, x) for x in labels])
+        out.append(_raw(cls, bottom, top, word, nblocks))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 16)
+def _orbit_compose(g, f):
+    """o_g after o_f as (c, the nu_M): o_g o_f = sum of (t - |nu_M|)_c o_{nu_M}.
+
+    The product is 0, returned as (0, ()), unless f's top row and g's
+    bottom row induce the same partition of the middle points; then each
+    middle class joins one block of f to one of g.  The nu_M are the stack
+    with each pair of a partial matching M of f's bottom-only blocks with
+    g's top-only blocks merged, and c counts the joined blocks that touch
+    only the middle: their indices must differ from each other and from
+    the |nu_M| outer blocks' indices.
+    """
+    a, b, nf = f.bottom, f.top, f.nblocks
+    fw, gw = f.word, g.word
+    link: dict = {}  # g's middle block -> f's
+    back: dict = {}
+    for x, y in zip(fw[a:], gw[:b]):
+        if link.setdefault(y, x) != x or back.setdefault(x, y) != y:
+            return 0, ()
+    lower, upper = set(fw[:a]), set(gw[b:])
+    closed = sum(1 for x, y in back.items() if x not in lower and y not in upper)
+    bottom_only = tuple(sorted(lower - back.keys()))
+    top_only = tuple(sorted(nf + y for y in upper - link.keys()))
+    labels = [*fw[:a], *[link[y] if y in link else nf + y for y in gw[b:]]]
+    return closed, _merges(type(f), a, g.top, labels, bottom_only, top_only)
+
+
+@lru_cache(maxsize=1 << 16)
+def _orbit_tensor(f, g) -> tuple:
+    """The terms of o_f (x) o_g: f beside g with the pairs of each partial
+    matching of f's blocks with g's merged."""
+    a, c, nf = f.bottom, g.bottom, f.nblocks
+    fw, gw = f.word, [nf + x for x in g.word]
+    labels = [*fw[:a], *gw[:c], *fw[a:], *gw[c:]]
+    right = tuple(range(nf, nf + g.nblocks))
+    return _merges(type(f), a + c, f.top + g.top, labels, tuple(range(nf)), right)
+
+
+@lru_cache(maxsize=1 << 12)
+def _coarsenings(d) -> tuple:
+    """Every coarsening of d, in the order of the set partitions P of d's
+    blocks that ``_rg_words(d.nblocks)`` gives: P's restricted-growth word
+    composed with d's is again restricted-growth."""
+    cls, a, b, w = type(d), d.bottom, d.top, d.word
+    return tuple(_raw(cls, a, b, tuple([p[x] for x in w]), k) for p, k in _rg_words(d.nblocks))
+
+
+@lru_cache(maxsize=16)
+def _mobius(k: int) -> tuple:
+    """The Moebius function mu(0, P) of the partition lattice, for each set
+    partition P of k points in ``_rg_words`` order: the product over P's
+    blocks of (-1)^(m-1) (m-1)!, for a block of m points."""
+    out = []
+    for p, _ in _rg_words(k):
+        weight = 1
+        for m in Counter(p).values():
+            weight *= (-1) ** (m - 1) * factorial(m - 1)
+        out.append(weight)
+    return tuple(out)
+
+
+def _falling(ring: RingTag, k: int, c: int):
+    """The payload (t - k)(t - k - 1)...(t - k - c + 1), t the ring's parameter."""
+    sub, mul, embed = ring.sub, ring.mul, ring.embed
+    out = ring.one_payload
+    for i in range(k, k + c):
+        out = mul(out, sub(ring.parameter_payload(), embed(i)))
+    return out
+
+
+ORBIT = DiagramKind(
+    name="orbit",
+    var="t",
+    diagram=PartitionDiagram,
+    field="blocks",
+    doc_kind=None,
+    compose=None,  # a product of orbit elements is a sum: OrbitMorphism's own @
+    tensor=None,  # and tensor
+    dual=_dual_diagram,  # the flip maps o_pi to o_(flipped pi)
+    closure=None,  # no trace or basis in these coordinates: use from_orbit
+    basis=None,
+)
+
+
+class OrbitMorphism(LinComb, reader=False):
+    """A morphism a -> b in orbit coordinates: a combination of the o_pi.
+
+    Sums, scalar multiples, equality, the dual and specialization are the
+    shared core's.  There is no document kind: convert with ``from_orbit``.
+    """
+
+    __slots__ = ()
+    kind = ORBIT
+
+    def __matmul__(self, other):
+        """Composition self after other, by the orbit product."""
+        self._require_composable(other)
+        ring = self.ring
+        mul, addmul, acc_value, is_zero = ring.mul, ring.addmul, ring.acc_value, ring.is_zero
+        acc: dict = {}
+        get = acc.get
+        for fd, fc in other.terms.items():
+            for gd, gc in self.terms.items():
+                closed, products = _orbit_compose(gd, fd)
+                for d in products:
+                    x = mul(gc, _falling(ring, d.nblocks, closed)) if closed else gc
+                    acc[d] = addmul(get(d), fc, x, 0)
+        terms = {}
+        for d, sums in acc.items():
+            coeff = acc_value(sums)
+            if not is_zero(coeff):
+                terms[d] = coeff
+        return self._new(other.source, self.target, terms)
+
+    def tensor(self, other):
+        self._require_same(other)
+        mul, is_zero = self.ring.mul, self.ring.is_zero
+        acc = {}
+        for fd, fc in self.terms.items():
+            for gd, gc in other.terms.items():
+                coeff = mul(fc, gc)
+                if not is_zero(coeff):
+                    # a product's restrictions to the two sides give back
+                    # (fd, gd), and its cross joins the matching: no repeats
+                    for d in _orbit_tensor(fd, gd):
+                        acc[d] = coeff
+        return self._new(self.source + other.source, self.target + other.target, acc)
+
+
+def to_orbit(m: Morphism) -> OrbitMorphism:
+    """m in orbit coordinates: each diagram is the sum over its coarsenings."""
+    add = m.ring.add
+    terms: dict = {}
+    for d, c in m.terms.items():
+        for rho in _coarsenings(d):
+            terms[rho] = add(terms[rho], c) if rho in terms else c
+    return OrbitMorphism.from_payloads(m.source, m.target, m.ring, terms)
+
+
+def from_orbit(m: OrbitMorphism) -> Morphism:
+    """m in diagram coordinates, by Moebius inversion over coarsenings."""
+    ring = m.ring
+    add, mul, embed = ring.add, ring.mul, ring.embed
+    terms: dict = {}
+    for d, c in m.terms.items():
+        for rho, weight in zip(_coarsenings(d), _mobius(d.nblocks)):
+            x = mul(c, embed(weight))
+            terms[rho] = add(terms[rho], x) if rho in terms else x
+    return Morphism.from_payloads(m.source, m.target, ring, terms)
 
 
 # ---------------------------------------------------------------------------
