@@ -41,6 +41,7 @@ from .pcat import (
     ev,
     identity,
     mu,
+    permute_top,
     set_partitions,
     to_orbit,
     unit,
@@ -185,10 +186,12 @@ def x_nj(n: int, j: int, ring: RingTag = POLY_T) -> Morphism:
 # structure maps, in orbit coordinates
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _orbit(generator, *args) -> OrbitMorphism:
     """``generator(*args)`` (mu, braiding, identity, ...) in orbit coordinates,
-    converted once."""
+    converted once.  Each has at most n blocks, so Bell(n) terms; the
+    braiding of n strands past n, Bell(2n) terms, is applied by
+    ``pcat.permute_top`` instead."""
     return to_orbit(generator(*args))
 
 
@@ -398,6 +401,7 @@ def verify_suite(
     id1 = _orbit(identity, 1, ring)
 
     if family == "deltalg":
+        swap = [*range(n, 2 * n), *range(n)]  # braiding(n, n) as a permutation
         report.add(
             "D1",
             maps.mult @ maps.mult.tensor(xn),
@@ -407,7 +411,7 @@ def verify_suite(
         report.add("D2-right", maps.mult @ xn.tensor(maps.unit), xn)
         report.add(
             "D3",
-            compose_chain([maps.mult, _orbit(braiding, n, n, ring), xn.tensor(xn)]),
+            maps.mult @ permute_top(swap, xn.tensor(xn)),
             maps.mult,
         )
         return report

@@ -273,6 +273,9 @@ def _parts(value, points: int) -> tuple:
 
 def to_dict(m: LinComb) -> dict:
     kind = m.kind
+    if _BY_DOC_KIND.get(kind.doc_kind) is not type(m):
+        # a kind declared with reader=False would be read back as another
+        raise TypeError(f"{type(m).__name__} has no document kind")
     obj: dict = {} if kind.doc_kind is None else {"kind": kind.doc_kind}
     obj["source"] = m.source
     obj["target"] = m.target

@@ -415,6 +415,27 @@ def from_orbit(m: OrbitMorphism) -> Morphism:
     return Morphism.from_payloads(m.source, m.target, ring, terms)
 
 
+def permute_top(sigma: Sequence[int], m: OrbitMorphism) -> OrbitMorphism:
+    """``to_orbit(permutation(sigma)) @ m``, without expanding the permutation.
+
+    Composing with a permutation diagram moves m's top point i to top
+    sigma(i).  The relabelling preserves coarsening, so it takes o_f to
+    o_(sigma f) with the same coefficient.
+    """
+    a, b = m.source, m.target
+    if sorted(sigma) != list(range(b)):
+        raise ValueError(f"not a permutation of the {b} top points")
+    terms = {}
+    for d, c in m.terms.items():
+        w = d.word
+        labels = list(w)
+        for i in range(b):
+            labels[a + sigma[i]] = w[a + i]
+        word, k = _relabel(labels)
+        terms[_raw(PartitionDiagram, a, b, word, k)] = c
+    return m._new(a, b, terms)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

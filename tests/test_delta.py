@@ -78,14 +78,14 @@ class TestTheta:
         ).scale(POLY_T.from_fraction(3))
 
     def test_algebra_homomorphism(self):
-        # strand insertion is multiplicative on endomorphisms
+        # strand insertion is multiplicative on endomorphisms, on diagrams
+        # and in orbit coordinates
         for n in (1, 2):
             for j in range(1, n + 1):
-                maps = delta_maps(n)
-                f, g = maps.x, maps.x
-                assert theta(f @ g, j, "endo") == (
-                    theta(f, j, "endo") @ theta(g, j, "endo")
-                )
+                for f in (x_n(n), delta_maps(n).x):
+                    assert theta(f @ f, j, "endo") == (
+                        theta(f, j, "endo") @ theta(f, j, "endo")
+                    )
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

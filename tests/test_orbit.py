@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from partcat.coeff import POLY_T, RATFUN_T, bound_q
 from partcat.delta import theta
 from partcat.errors import TagMismatchError
-from partcat.lincomb import from_dict
+from partcat.lincomb import from_dict, to_dict
 from partcat.pcat import (
     Morphism,
     OrbitMorphism,
@@ -23,6 +23,8 @@ from partcat.pcat import (
     _raw,
     from_orbit,
     identity,
+    permutation,
+    permute_top,
     to_orbit,
 )
 
@@ -108,6 +110,15 @@ def test_dual_and_theta_commute_with_to_orbit(m, variant, data):
     assert theta(to_orbit(m), j, variant) == to_orbit(theta(m, j, variant))
 
 
+@PROPERTY
+@given(single(), st.data())
+def test_permute_top_is_composition_with_a_permutation(m, data):
+    sigma = data.draw(st.permutations(range(m.target)))
+    o = to_orbit(m)
+    expected = to_orbit(permutation(sigma, o.ring)) @ o
+    assert permute_top(sigma, o) == expected == to_orbit(permutation(sigma, o.ring) @ m)
+
+
 class TestOrbitBasis:
     def test_identity_is_the_sum_over_strand_partitions(self):
         # id_2 = d_{12|1'2'} is o_{12|1'2'} + o_{121'2'}
@@ -133,3 +144,9 @@ class TestOrbitBasis:
     def test_documents_without_a_kind_are_read_as_diagrams(self):
         doc = {"source": 1, "target": 1, "ring": "Qt", "terms": [{"blocks": [[0, 1]], "coeff": "1"}]}
         assert type(from_dict(doc)) is Morphism
+
+    def test_orbit_morphisms_have_no_document(self):
+        # without a kind of its own, the document would read back as the
+        # diagram morphism with the same coefficients
+        with pytest.raises(TypeError):
+            to_dict(to_orbit(identity(1)))
