@@ -12,6 +12,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from . import algkit, delta, pcat, tl, young
 from .coeff import (
@@ -255,9 +256,18 @@ def _tl_ring(args) -> RingTag:
     return RATFUN_D
 
 
+def _require_projector_cap(n: int, bound: Optional[int]):
+    """Refuse jw(n) over 2n boundary points past the strand cap before
+    building it: it has Catalan(n) terms."""
+    cap = tl.DEFAULT_STRAND_CAP if bound is None else bound
+    if 2 * n > cap:
+        raise CapExceededError(f"jw({n}) has {2 * n} boundary points, over cap {cap}")
+
+
 def _cmd_tl(args) -> int:
     op = args.op
     if op == "jw":
+        _require_projector_cap(args.n, args.bound)
         _output_morphism(args, tl.jw(args.n, _tl_ring(args)))
         return 0
     if op == "quantum":
@@ -270,6 +280,7 @@ def _cmd_tl(args) -> int:
     if op == "steinberg":
         if args.l is None:
             raise CoeffParseError("steinberg needs --l", 0)
+        _require_projector_cap(args.l - 1, args.bound)
         ring = _tl_ring(args)
         f = tl.steinberg(args.l, ring)
         _output_morphism(args, f)

@@ -150,15 +150,18 @@ def tl_hom_dimension(a: int, b: int, cap: Optional[int] = None) -> int:
 
 def quantum_int(n: int, ring: RingTag = RATFUN_D) -> RingElement:
     """[n] by the recursion [0] = 0, [1] = 1, [n+1] = d [n] - [n-1]."""
+    return _quantum_ints(n, ring)[n]
+
+
+def _quantum_ints(n: int, ring: RingTag) -> List[RingElement]:
+    """[0], [1], ..., [n] by the recursion of ``quantum_int``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = ring.zero(), ring.one()
-    if n == 0:
-        return prev
+    out = [ring.zero(), ring.one()]
     param = ring.parameter()
-    for _ in range(n - 1):
-        prev, cur = cur, param * cur - prev
-    return cur
+    while len(out) <= n:
+        out.append(param * out[-1] - out[-2])
+    return out[: n + 1]
 
 
 def l_q(ring: RingTag, search_bound: int = 64) -> Optional[int]:
@@ -181,23 +184,34 @@ def l_q(ring: RingTag, search_bound: int = 64) -> Optional[int]:
 def jw(n: int, ring: RingTag = RATFUN_D) -> TLMorphism:
     """The projector on n strands killed by every cup-cap generator.
 
-    Built by the single-step recursion
-    jw(n) = jw(n-1) (x) id - ([n-1]/[n]) (jw(n-1) (x) id) e_{n-1} (jw(n-1) (x) id),
-    defined when [k] is invertible for 2 <= k <= n.
+    Built by the one-sided recursion (Frenkel-Khovanov, *Canonical bases in
+    tensor products and graphical calculus for U_q(sl_2)*, 1997; Morrison,
+    *A formula for the Jones-Wenzl projections*, 2015): with
+    w = jw(n-1) (x) id,
+    jw(n) = w + sum_{i=1}^{n-1} (-1)^(n-i) ([i]/[n]) w e_{n-1} e_{n-2} ... e_i,
+    defined when [k] is invertible for 2 <= k <= n.  Each product
+    e_{n-1} ... e_i is a single diagram with no closed loop, so a level
+    composes w with n-1 diagrams, never with itself.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n <= 1:
         return tl_identity(n, ring)
+    q = _quantum_ints(n, ring)
     for k in range(2, n + 1):
-        if not quantum_int(k, ring):
+        if not q[k]:
             raise ProjectorUndefinedError(
                 f"jw({n}) undefined: quantum integer [{k}] vanishes"
             )
-    prev = jw(n - 1, ring)
-    wide = prev.tensor(tl_identity(1, ring))
-    ratio = quantum_int(n - 1, ring) / quantum_int(n, ring)
-    return wide - ((wide @ tl_e(n - 1, n, ring)) @ wide).scale(ratio)
+    wide = jw(n - 1, ring).tensor(tl_identity(1, ring))
+    inv_n = q[n].inv()
+    (chain,) = tl_identity(n, ring).terms
+    chains = {}
+    for i in range(n - 1, 0, -1):
+        chain, _ = _tl_compose(chain, _e_diagram(i, n))  # e_{n-1} ... e_i
+        c = q[i] * inv_n
+        chains[chain] = c if (n - i) % 2 == 0 else -c
+    return wide + wide @ TLMorphism(n, n, ring, chains)
 
 
 def steinberg(l: int, ring: RingTag) -> TLMorphism:

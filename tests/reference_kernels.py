@@ -6,9 +6,12 @@ stored diagrams as restricted-growth words.  They read only ``bottom``,
 parts ordered by minimum), so they check the word kernels from outside.
 The coefficient sums at the end are the pairwise loops the library ran
 before its sums of products normalized once per output coefficient.
+``jw_two_sided`` is the Jones-Wenzl recursion the library used before the
+one-sided one.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _find(parent: list, v: int) -> int:
@@ -129,6 +132,29 @@ def euclid_gcd(a: tuple, b: tuple) -> tuple:
                 r.pop()
         a, b = b, r
     return tuple(c / a[-1] for c in a) if a else ()
+
+
+# ---------------------------------------------------------------------------
+# Jones-Wenzl projectors by Wenzl's two-sided recursion
+
+
+@lru_cache(maxsize=None)
+def jw_two_sided(n: int, ring):
+    """The n-strand Jones-Wenzl projector by the single-step recursion
+    jw(n) = w - ([n-1]/[n]) w e_{n-1} w with w = jw(n-1) (x) id, which
+    composes w with itself.  Raises ``ProjectorUndefinedError`` when some
+    [k], 2 <= k <= n, vanishes."""
+    from partcat.errors import ProjectorUndefinedError
+    from partcat.tl import quantum_int, tl_e, tl_identity
+
+    if n <= 1:
+        return tl_identity(n, ring)
+    for k in range(2, n + 1):
+        if not quantum_int(k, ring):
+            raise ProjectorUndefinedError(f"jw({n}) undefined: quantum integer [{k}] vanishes")
+    wide = jw_two_sided(n - 1, ring).tensor(tl_identity(1, ring))
+    ratio = quantum_int(n - 1, ring) / quantum_int(n, ring)
+    return wide - ((wide @ tl_e(n - 1, n, ring)) @ wide).scale(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,35 @@ class TestVerbs:
         assert code == 2
         assert "vanishes" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["jw", "--n", "9"], ["steinberg", "--l", "10"]], ids=["jw", "steinberg"]
+    )
+    def test_tl_projector_past_strand_cap_is_three(self, capsys, monkeypatch, argv):
+        # jw(9) has 18 boundary points; the cap is checked before building
+        def build(n, ring):
+            raise AssertionError("built past the cap")
+
+        monkeypatch.setattr(cli.tl, "jw", build)
+        code, out, err = run(capsys, "tl", *argv)
+        assert code == 3 and out == ""
+        assert "cap 16" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["jw", "--n", "9"], ["steinberg", "--l", "10"]], ids=["jw", "steinberg"]
+    )
+    def test_tl_projector_bound_raises_the_cap(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.tl, "jw", lambda n, ring: cli.tl.tl_identity(n, ring))
+        code, out, _ = run(capsys, "tl", *argv, "--bound", "18", "--json")
+        assert code == 0 and json.loads(out)["source"] == 9
+
+    @pytest.mark.parametrize(
+        "argv", [["jw", "--n", "8", "--l", "8"], ["steinberg", "--l", "9"]], ids=["jw", "steinberg"]
+    )
+    def test_tl_projector_at_strand_cap(self, capsys, argv):
+        code, out, _ = run(capsys, "tl", *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["source"] == 8 and len(doc["terms"]) == 1430
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):

@@ -27,6 +27,8 @@ from partcat.tl import (
     tl_to_dict,
 )
 
+import reference_kernels as reference
+
 D = RATFUN_D.variable()
 QM1 = bound_q(-1, "d")  # loop value of the level-2 ring
 
@@ -179,6 +181,45 @@ class TestJonesWenzl:
         for i in range(1, n):
             assert (tl_e(i, n, ring) @ f).is_zero()
             assert (f @ tl_e(i, n, ring)).is_zero()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_killed_at_level8_reach(self, n):
+        # identity coefficient 1 and killed by every e_i pins the projector
+        # down; (n-1) |jw(n)| pairs a side, no f @ f
+        ring = number_field(chebyshev_minpoly(8), "d")
+        f = jw(n, ring)
+        assert len(f.terms) == catalan(n)
+        (identity,) = tl_identity(n, ring).terms
+        assert f.terms[identity] == ring.one_payload
+        assert f.trace() == quantum_int(n + 1, ring)
+        assert f.trace().is_zero() == (n == 8)
+        for i in range(1, n):
+            assert (tl_e(i, n, ring) @ f).is_zero()
+            assert (f @ tl_e(i, n, ring)).is_zero()
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            RATFUN_D,
+            number_field(chebyshev_minpoly(8), "d"),
+            number_field(chebyshev_minpoly(12), "d"),
+            bound_q("3/2", "d"),
+            bound_q(5, "d"),
+            bound_q("-1/3", "d"),
+            bound_q(1, "d"),
+            bound_q(0, "d"),
+        ],
+        ids=["ratfun", "level8", "level12", "d=3/2", "d=5", "d=-1/3", "d=1", "d=0"],
+    )
+    def test_matches_two_sided(self, ring):
+        for n in range(8):
+            try:
+                expected = reference.jw_two_sided(n, ring)
+            except ProjectorUndefinedError:
+                with pytest.raises(ProjectorUndefinedError):
+                    jw(n, ring)
+                continue
+            assert jw(n, ring) == expected, n
 
     def test_undefined_at_vanishing_level(self):
         with pytest.raises(ProjectorUndefinedError):
