@@ -2,11 +2,17 @@
 
 Exit codes: 0 success (or verified), 1 a verification ran and failed,
 2 usage or input errors, 3 a resource cap was exceeded.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call; nothing mutates it.  So each verb's handler
+is bound once: to change what a verb does (in a test, say), patch the
+library function it calls, such as ``tl.jw``, not ``_cmd_*``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -321,7 +327,9 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``partcat`` parser, shared by every ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="partcat",
         description="Exact computations in partition and Temperley-Lieb categories.",

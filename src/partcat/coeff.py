@@ -889,6 +889,9 @@ def _parse_factor(toks: _Tokens, tag: RingTag) -> RingElement:
             raise CapExceededError(
                 f"power ^{exponent} exceeds the exponent cap {EXPONENT_CAP} (at position {pos})"
             )
+        if tag.kind != "Q" and value.data == tag.powers[1]:
+            # the indeterminate: its powers are the tag's table, filled once
+            return RingElement(tag, tag.powers[exponent])
         value = value**exponent
     return value
 

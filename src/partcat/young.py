@@ -5,6 +5,10 @@ parameter d is governed by the shifted content sequence
 (d - |la|, la_1 - 1, la_2 - 2, ...): two labels share a block exactly when
 those sequences agree as multisets.  All multiset reasoning is reduced to
 a finite window; beyond it both sequences are the common tail -k.
+
+The work of a block query is linear in its window and the work of
+``infinite_blocks`` grows with the number of labels it enumerates, so both
+are capped (``WINDOW_CAP``, ``LABEL_SIZE_CAP``) before anything is built.
 """
 
 from __future__ import annotations
@@ -20,6 +24,14 @@ from typing import Dict, Iterator, List, Optional
 from .coeff import POLY_T, RingTag
 from .errors import CapExceededError
 from .pcat import Morphism, PartitionDiagram
+
+# Largest window of shifted-content entries a block query may build: block_of
+# and negligible_class on (1) at d = 4995 (window 10,000) take about 30 ms;
+# at d = 10^6 block-of took 4.3 s and 185 MB.
+WINDOW_CAP = 10_000
+# Largest label size infinite_blocks enumerates: all partitions of size <= 20
+# take about 0.5 s (d = 16), size <= 24 about 1.2 s and size <= 28 about 3.4 s.
+LABEL_SIZE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,11 @@ def mu_seq(lam: YoungDiagram, t: Optional[int], length: int):
     return [t - lam.size] + [lam.part(k) - k for k in range(1, length + 1)]
 
 
+def _require_window(window: int):
+    if window > WINDOW_CAP:
+        raise CapExceededError(f"block window of {window} entries is over cap {WINDOW_CAP}")
+
+
 def _window_entries(lam: YoungDiagram, d: int, floor: int) -> List[int]:
     """All entries of the shifted content sequence that are >= floor.
 
@@ -118,6 +135,7 @@ def same_block(lam: YoungDiagram, other: YoungDiagram, t: Optional[int]) -> bool
         + abs(t)
         + 2
     )
+    _require_window(window)
     return Counter(_window_entries(lam, t, -window)) == Counter(
         _window_entries(other, t, -window)
     )
@@ -176,6 +194,7 @@ def block_of(lam: YoungDiagram, d: int, bound: int) -> BlockDescriptor:
     if bound < lam.size:
         raise ValueError("bound must be at least |lambda|")
     window = bound + lam.size + len(lam.parts) + abs(d) + 4
+    _require_window(window)
     entries = sorted(_window_entries(lam, d, -window), reverse=True)
 
     members = {}
@@ -231,6 +250,8 @@ def infinite_blocks(d: int, bound: int) -> List[tuple]:
     blocks seen among labels of size <= bound."""
     if bound < d + 4:
         raise ValueError("bound must be at least d + 4 for a stable count")
+    if bound > LABEL_SIZE_CAP:
+        raise CapExceededError(f"labels up to size {bound} are over cap {LABEL_SIZE_CAP}")
     seen: Dict[tuple, tuple] = {}
     for lam in all_partitions_upto(bound):
         desc = block_of(lam, d, bound=max(bound, lam.size))

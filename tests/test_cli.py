@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from partcat import cli
 from partcat.delta import VerificationReport
 from partcat.pcat import identity, morphism_to_dict
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -329,6 +336,110 @@ class TestVerbs:
         code, out, _ = run(capsys, "tl", *argv, "--json")
         doc = json.loads(out)
         assert code == 0 and doc["source"] == 8 and len(doc["terms"]) == 1430
+
+
+class TestParserReuse:
+    """The parser is built once per process and serves every later request,
+    so no request may leave an option behind for the next."""
+
+    def test_built_once_and_not_at_import(self):
+        assert cli.build_parser() is cli.build_parser()
+        probe = "import sys; from partcat import cli; sys.exit(cli.build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+    def test_output_file_does_not_stick(self, capsys, tmp_path):
+        doc, written = str(GOLDEN / "partition.json"), tmp_path / "gf.json"
+        golden = (GOLDEN / "compose-partition.out").read_text()
+        assert run(capsys, "compose", "-f", doc, "-g", doc, "-o", str(written)) == (0, "", "")
+        assert written.read_text() == golden
+        written.unlink()
+        assert run(capsys, "compose", "-f", doc, "-g", doc) == (0, golden, "")
+        assert not written.exists()
+
+    def test_level_does_not_stick(self, capsys):
+        code, at_level, _ = run(capsys, "tl", "jw", "--n", "3", "--l", "8", "--json")
+        assert code == 0 and json.loads(at_level)["ring"] == "Qdelta"
+        golden = (GOLDEN / "tl-jw-3.out").read_text()
+        assert json.loads(golden)["ring"] == "Qratfun"
+        assert run(capsys, "tl", "jw", "--n", "3", "--json") == (0, golden, "")
+
+    def test_bound_returns_to_none(self, capsys):
+        parser = cli.build_parser()
+        assert parser.parse_args(["gram", "--n", "1", "--bound", "5"]).bound == 5
+        assert parser.parse_args(["gram", "--n", "1"]).bound is None
+        assert run(capsys, "gram", "--n", "1", "--bound", "0")[0] == 3
+        assert run(capsys, "gram", "--n", "1", "--json") == (0, (GOLDEN / "gram-1.out").read_text(), "")
+
+    @pytest.mark.parametrize(
+        "between, code",
+        [
+            (["tl", "jw", "--n", "x"], 2),
+            (["gram", "--n", "2", "--bogus"], 2),
+            (["frobnicate"], 2),
+            (["--help"], 0),
+            (["gram", "--help"], 0),
+        ],
+        ids=["bad-int", "unknown-flag", "unknown-verb", "help", "verb-help"],
+    )
+    @pytest.mark.parametrize(
+        "case, argv",
+        [("tl-jw-3", ["tl", "jw", "--n", "3", "--json"]), ("gram-2", ["gram", "--n", "2", "--json"])],
+    )
+    def test_usage_error_or_help_between_goldens(self, capsys, between, code, case, argv):
+        golden = (GOLDEN / f"{case}.out").read_text()
+        assert run(capsys, *argv) == (0, golden, "")
+        assert run(capsys, *between)[0] == code
+        assert run(capsys, *argv) == (0, golden, "")
+
+
+class TestYoungCaps:
+    """The young verbs refuse a label-size bound or a window past the caps
+    before they enumerate or allocate anything."""
+
+    @staticmethod
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--d", "1000000"], ["--d", "17"], ["--d", "2", "--bound", "21"]],
+        ids=["d-million", "d-17", "bound-21"],
+    )
+    def test_blocks_past_label_cap_is_three(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.young, "all_partitions_upto", self.unreachable)
+        monkeypatch.setattr(cli.young, "block_of", self.unreachable)
+        code, out, err = run(capsys, "blocks", *argv)
+        assert (code, out) == (3, "")
+        assert f"cap {cli.young.LABEL_SIZE_CAP}" in err
+
+    def test_blocks_at_label_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.young, "all_partitions_upto", lambda bound: iter(()))
+        code, out, _ = run(capsys, "blocks", "--d", "16", "--json")
+        assert code == 0 and json.loads(out)["bound"] == cli.young.LABEL_SIZE_CAP == 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--lambda", "1", "--d", "1000000"],
+            ["--lambda", "1", "--d", "4996"],
+            ["--lambda", "1", "--d", "5", "--bound", "10000"],
+            ["--lambda", "9999", "--d", "0"],
+        ],
+        ids=["d-million", "d-4996", "bound-10000", "lambda-9999"],
+    )
+    def test_block_of_past_window_cap_is_three(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.young, "_window_entries", self.unreachable)
+        code, out, err = run(capsys, "block-of", *argv)
+        assert (code, out) == (3, "")
+        assert f"cap {cli.young.WINDOW_CAP}" in err
+
+    def test_block_of_at_window_cap(self, capsys):
+        # window = bound + |lambda| + parts + d + 4 = 4999 + 1 + 1 + 4995 + 4
+        code, out, _ = run(capsys, "block-of", "--lambda", "1", "--d", "4995", "--json")
+        d = 4995  # the members follow the pattern of d = 5
+        assert code == 0
+        assert json.loads(out)["block"]["members"] == [[1], [d], [d, 2], [d, 2, 1], [d, 2, 1, 1]]
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from partcat.coeff import (
     QQ,
     RATFUN_T,
     RingElement,
+    RingTag,
     bound_q,
     chebyshev_minpoly,
     number_field,
@@ -284,6 +285,75 @@ class TestLongDigitRuns:
         with pytest.raises(CoeffParseError, match="too long") as info:
             parse_coefficient(text, POLY_T)
         assert info.value.position == position
+
+
+class TestIndeterminatePowers:
+    """The parser reads var^k from the tag's power table: the result must be
+    the repeated-squaring power, alone, parenthesized and in sums."""
+
+    TAGS = [
+        RATFUN_T,
+        RingTag("ratfun", "d"),
+        POLY_T,
+        RingTag("poly", "d"),
+        number_field(chebyshev_minpoly(8)),
+        number_field("d^2 - 2"),
+        number_field("d - 3"),  # d is the constant 3, and 3^k hits the table too
+    ]
+    IDS = ["Qratfun-t", "Qratfun-d", "Qt", "Qd", "nf-level8", "nf-sqrt2", "nf-linear"]
+
+    @staticmethod
+    def monomial_mod(k, m):
+        """Coefficients of x^k reduced mod the monic m, by long division."""
+        cs = [Fraction(0)] * k + [Fraction(1)]
+        for top in range(k, len(m) - 2, -1):
+            lead = cs[top]
+            for i, c in enumerate(m):
+                cs[top - len(m) + 1 + i] -= lead * c
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    @pytest.mark.parametrize("tag", TAGS, ids=IDS)
+    def test_every_power_up_to_40(self, tag):
+        v = tag.var
+        for k in range(41):
+            want = tag.variable() ** k
+            for text in (f"{v}^{k}", f"({v})^{k}", f" ( {v} ) ^ {k} ", f"1*{v}^{k}"):
+                assert parse_coefficient(text, tag) == want, text
+            # and the power itself, written out without the ring's arithmetic
+            monomial = (0,) * k + (1,)
+            if tag.kind == "numberfield":
+                assert tuple(Fraction(c) for c in want.data) == self.monomial_mod(k, tag.minpoly)
+            elif tag.kind == "ratfun":
+                assert want.data == (monomial, (1,))
+            else:
+                assert want.data == monomial
+
+    @pytest.mark.parametrize("tag", TAGS, ids=IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(fractions_st, st.integers(min_value=0, max_value=40), st.booleans()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_mixed_sums(self, tag, terms):
+        v = tag.var
+        text = " + ".join(
+            f"({c.numerator}/{c.denominator})*{f'({v})' if paren else v}^{k}"
+            for c, k, paren in terms
+        )
+        want = sum(
+            (tag.from_fraction(c) * tag.variable() ** k for c, k, _ in terms), tag.zero()
+        )
+        assert parse_coefficient(text, tag) == want
+
+    def test_zeroth_power_is_one(self):
+        for tag in self.TAGS:
+            assert parse_coefficient(f"{tag.var}^0", tag) == tag.one()
+            assert parse_coefficient(f"({tag.var})^0", tag) == tag.one()
 
 
 class TestChebyshevMinpoly:

@@ -9,6 +9,8 @@ from partcat.coeff import POLY_T
 from partcat.errors import CapExceededError
 from partcat.pcat import braiding, identity
 from partcat.young import (
+    LABEL_SIZE_CAP,
+    WINDOW_CAP,
     YoungDiagram,
     all_partitions_upto,
     block_of,
@@ -157,6 +159,21 @@ class TestCounts:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             count_infinite_blocks(3, 4)
+
+
+class TestCaps:
+    def test_label_size_cap(self):
+        with pytest.raises(CapExceededError, match="labels up to size 21"):
+            infinite_blocks(2, LABEL_SIZE_CAP + 1)
+
+    def test_window_cap(self):
+        with pytest.raises(CapExceededError, match="window"):
+            block_of(Y((1,)), 10**6, 10**6 + 4)
+        with pytest.raises(CapExceededError, match="window"):
+            same_block(Y((1,)), Y((2,)), 10**6)
+        # negligible_class's own window, 2|la| + parts + d + 4, may reach the cap:
+        # (1) is the least member of its infinite block, as at d = 5
+        assert negligible_class(Y((1,)), WINDOW_CAP - 7) is negligible_class(Y((1,)), 5) is False
 
 
 class TestSymmetrizer:
