@@ -47,6 +47,10 @@ CASES["decompose-2-half"] = ["decompose", "--n", "2", "--t", "1/2", "--json"]  #
 FAMILIES = ("deltalg", "deltaj", "dplus1", "ortho", "psi", "azero", "nondegenerate")
 CASES.update({f"verify-{fam}-3": ["verify", "--json", "--family", fam, "--n", "3"] for fam in FAMILIES})
 CASES["verify-xn_idempotent-5"] = ["verify", "--json", "--family", "xn_idempotent", "--n", "5"]
+CASES["blocks-2"] = ["blocks", "--d", "2"]
+CASES["blocks-5"] = ["blocks", "--d", "5", "--json"]
+CASES["block-of-21-3"] = ["block-of", "--lambda", "2,1", "--d", "3", "--json"]
+CASES["block-of-1-5"] = ["block-of", "--lambda", "1", "--d", "5", "--bound", "8"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
