@@ -627,6 +627,14 @@ def tag_to_json(ring: RingTag, obj: dict):
         obj["minpoly"] = RingTag("poly", ring.var).render(ring.minpoly)
 
 
+@lru_cache(maxsize=64)
+def _field_from_text(minpoly: str) -> RingTag:
+    """Q[d]/(m) for a document's minpoly text: documents naming one field
+    share one tag and its ``powers`` table.  A bad minpoly raises each time,
+    since the cache keeps no exceptions."""
+    return number_field(minpoly, "d")
+
+
 def tag_from_json(obj: dict, var: str) -> RingTag:
     """The ring a document's ``ring`` (and ``t`` or ``minpoly``) fields name."""
     name = obj.get("ring")
@@ -648,7 +656,7 @@ def tag_from_json(obj: dict, var: str) -> RingTag:
         if not isinstance(minpoly, str):
             raise SchemaError("Qdelta requires a minpoly string", "/minpoly")
         try:
-            return number_field(minpoly, "d")
+            return _field_from_text(minpoly)
         except CoeffParseError:
             raise
         except ValueError as exc:

@@ -6,9 +6,12 @@ parameter d is governed by the shifted content sequence
 those sequences agree as multisets.  All multiset reasoning is reduced to
 a finite window; beyond it both sequences are the common tail -k.
 
-The work of a block query is linear in its window and the work of
-``infinite_blocks`` grows with the number of labels it enumerates, so both
-are capped (``WINDOW_CAP``, ``LABEL_SIZE_CAP``) before anything is built.
+Blocks are classified by the Comes-Ostrik criterion: a repeated entry makes
+the block trivial, and otherwise each entry, removed as the head, gives one
+member.  The work of a block query is linear in its window, and
+``infinite_blocks`` builds one block per partition of d, p(d) of them, each
+over a window that grows with the label-size bound; both are capped
+(``WINDOW_CAP``, ``LABEL_SIZE_CAP``) before anything is built.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from .errors import CapExceededError
 from .pcat import Morphism, PartitionDiagram
 
 # Largest window of shifted-content entries a block query may build: block_of
-# and negligible_class on (1) at d = 4995 (window 10,000) take about 30 ms;
-# at d = 10^6 block-of took 4.3 s and 185 MB.
+# on (1) at d = 4995 (window 10,000) takes about 8 ms; at d = 10^6 the removal
+# search this replaced took 4.3 s and 185 MB.
 WINDOW_CAP = 10_000
-# Largest label size infinite_blocks enumerates: all partitions of size <= 20
-# take about 0.5 s (d = 16), size <= 24 about 1.2 s and size <= 28 about 3.4 s.
+# Largest label-size bound infinite_blocks takes; since the bound is at least
+# d + 4 it also caps d.  The p(16) = 231 blocks at bound 20 take 18-31 ms,
+# p(20) = 627 at bound 24 60-77 ms and p(24) = 1575 at bound 28 0.17-0.24 s.
 LABEL_SIZE_CAP = 20
 
 
@@ -146,7 +150,6 @@ class BlockDescriptor:
     """Canonical block data for one query diagram at integer parameter d."""
 
     t_value: int
-    key: tuple
     block_type: str  # "trivial" | "infinite"
     members: tuple  # known members with size <= the requested bound, by size
     index_of_query: int
@@ -159,109 +162,59 @@ class BlockDescriptor:
         }
 
 
-def _member_from_removal(sorted_entries: List[int], remove_at: int) -> Optional[YoungDiagram]:
-    """Reconstruct the diagram whose decreasing part is the sequence minus
-    one entry; None when the leftover is not a valid diagram shape."""
-    rest = sorted_entries[:remove_at] + sorted_entries[remove_at + 1 :]
-    parts = []
-    prev = None
-    for i, r in enumerate(rest, start=1):
-        if prev is not None and r >= prev:
-            return None  # duplicate or increase: not strictly decreasing
-        prev = r
-        p = r + i
-        if p < 0:
-            return None
-        if parts and p > parts[-1]:
-            return None
-        parts.append(p)
-    # the window is padded so the sequence must land exactly on the tail
-    if parts and parts[-1] != 0:
-        return None
-    return YoungDiagram(tuple(p for p in parts if p))
+def _require_d(d: int):
+    if d < 0:
+        raise ValueError("d must be a nonnegative integer")
 
 
 def block_of(lam: YoungDiagram, d: int, bound: int) -> BlockDescriptor:
-    """Enumerate the block members of size <= bound and classify the block.
+    """Classify the block and list its members of size <= bound.
 
-    Members arise by choosing which multiset entry plays the head role
-    d - |member|; the leftover entries must re-assemble into a diagram.
-    Infiniteness is decided by removal at two consecutive pure-tail
-    positions beyond the window.
+    Comes-Ostrik: the block is trivial when the shifted content sequence
+    repeats an entry.  Otherwise it is infinite, and removing any entry s
+    leaves the decreasing sequence r_1 > r_2 > ... of the member with
+    head s = d - |member| and parts r_i + i.
     """
-    if d < 0:
-        raise ValueError("d must be a nonnegative integer")
+    _require_d(d)
     if bound < lam.size:
         raise ValueError("bound must be at least |lambda|")
     window = bound + lam.size + len(lam.parts) + abs(d) + 4
     _require_window(window)
     entries = sorted(_window_entries(lam, d, -window), reverse=True)
-
-    members = {}
-    for idx, s in enumerate(entries):
-        if idx and entries[idx - 1] == s:
-            continue  # same value: identical removal result
-        size = d - s
-        if size < 0 or size > bound:
-            continue
-        candidate = _member_from_removal(entries, idx)
-        if candidate is not None and candidate.size == size:
-            members[candidate] = True
-
-    # pure-tail removals decide infiniteness: test two consecutive values
-    # below the window, padding so the reconstruction sees its tail landing
-    tail_ok = []
-    for k in (window + 1, window + 2):
-        full = entries + [-j for j in range(window + 1, k + 2)]
-        tail_ok.append(_member_from_removal(full, full.index(-k)) is not None)
-    infinite = all(tail_ok)
-
-    ordered = tuple(sorted(members, key=lambda m: (m.size, m.parts)))
-    if lam not in members:
-        raise AssertionError("query diagram missing from its own block")
-    key = _block_key(entries)
-    return BlockDescriptor(
-        t_value=d,
-        key=key,
-        block_type="infinite" if infinite else "trivial",
-        members=ordered,
-        index_of_query=ordered.index(lam),
+    if len(set(entries)) < len(entries):
+        return BlockDescriptor(d, "trivial", (lam,), 0)
+    # descending heads give ascending sizes d - s
+    members = tuple(
+        YoungDiagram(tuple(r + i for i, r in enumerate(entries[:at] + entries[at + 1 :], 1)))
+        for at, s in enumerate(entries)
+        if 0 <= d - s <= bound
     )
-
-
-def _block_key(sorted_entries: List[int]) -> tuple:
-    """Strip the maximal pure-tail suffix -K, -(K+1), ... from the sorted
-    entry list; what remains is a block invariant."""
-    cut = len(sorted_entries)
-    while cut > 0 and sorted_entries[cut - 1] == -(cut - 1):
-        cut -= 1
-    return tuple(sorted_entries[:cut])
+    return BlockDescriptor(d, "infinite", members, members.index(lam))
 
 
 def negligible_class(lam: YoungDiagram, d: int) -> bool:
     """True iff the label is not the minimal member of an infinite block,
-    i.e. the identity of the corresponding indecomposable is negligible."""
-    desc = block_of(lam, d, bound=lam.size)
-    return not (desc.block_type == "infinite" and desc.index_of_query == 0)
+    i.e. (d - |la|, la) is not a partition of d and the identity of the
+    corresponding indecomposable is negligible."""
+    _require_d(d)
+    return lam.size + lam.part(1) > d
 
 
 def infinite_blocks(d: int, bound: int) -> List[tuple]:
-    """Member lists (size <= bound, ascending) of the distinct infinite
-    blocks seen among labels of size <= bound."""
+    """Member lists (size <= bound, ascending) of the infinite blocks at d:
+    one per partition nu of d, whose least member is nu without its first
+    row."""
     if bound < d + 4:
         raise ValueError("bound must be at least d + 4 for a stable count")
     if bound > LABEL_SIZE_CAP:
         raise CapExceededError(f"labels up to size {bound} are over cap {LABEL_SIZE_CAP}")
-    seen: Dict[tuple, tuple] = {}
-    for lam in all_partitions_upto(bound):
-        desc = block_of(lam, d, bound=max(bound, lam.size))
-        if desc.block_type == "infinite":
-            seen.setdefault(desc.key, desc.members)
-    return sorted(seen.values(), key=lambda ms: (ms[0].size, ms[0].parts))
+    _require_d(d)
+    blocks = [block_of(YoungDiagram(nu.parts[1:]), d, bound).members for nu in partitions_of(d)]
+    return sorted(blocks, key=lambda ms: (ms[0].size, ms[0].parts))
 
 
 def count_infinite_blocks(d: int, bound: int) -> int:
-    """Number of distinct infinite-block keys among labels of size <= bound."""
+    """Number of infinite blocks at d, p(d)."""
     return len(infinite_blocks(d, bound))
 
 

@@ -7,7 +7,9 @@ parts ordered by minimum), so they check the word kernels from outside.
 The coefficient sums at the end are the pairwise loops the library ran
 before its sums of products normalized once per output coefficient.
 ``jw_two_sided`` is the Jones-Wenzl recursion the library used before the
-one-sided one.
+one-sided one.  ``block_search`` and ``infinite_blocks_scan`` are the
+block classification by removal search and by a scan over every label,
+which the library ran before it read the Comes-Ostrik criterion.
 """
 
 from fractions import Fraction
@@ -220,3 +222,75 @@ def identify_summand_scan(A, e: dict):
             cuts = [(lam, pt_power_idempotent(lam, ring).terms.items()) for lam in partitions_of(k)]
             return [lam for lam, y in cuts if pairs(k, y)], k
     return [], None
+
+
+# ---------------------------------------------------------------------------
+# blocks of Rep(S_d) by removal search and by the scan over every label
+
+
+def _member_from_removal(sorted_entries: list, remove_at: int):
+    """The diagram whose decreasing sequence is the entries minus one;
+    None when the leftover is not a valid diagram shape."""
+    rest = sorted_entries[:remove_at] + sorted_entries[remove_at + 1 :]
+    parts = []
+    prev = None
+    for i, r in enumerate(rest, start=1):
+        if prev is not None and r >= prev:
+            return None  # duplicate or increase: not strictly decreasing
+        prev = r
+        p = r + i
+        if p < 0 or (parts and p > parts[-1]):
+            return None
+        parts.append(p)
+    # the window is padded so the sequence must land exactly on the tail
+    if parts and parts[-1] != 0:
+        return None
+    return tuple(p for p in parts if p)
+
+
+def block_search(lam, d: int, bound: int):
+    """(block type, members of size <= bound by size, index of lam, key).
+
+    Every entry of the windowed shifted content sequence is tried as the
+    head d - |member|, keeping the removals that re-assemble into a
+    diagram of that size.  The block is infinite when removals at two
+    consecutive pure-tail positions below the window both succeed.  The
+    key is the sorted entries without their pure tail, a block invariant.
+    """
+    from partcat.young import YoungDiagram
+
+    window = bound + lam.size + len(lam.parts) + d + 4
+    # parts are below the window, so lam_k - k >= -window exactly when k <= window
+    entries = sorted([d - lam.size] + [lam.part(k) - k for k in range(1, window + 1)], reverse=True)
+    members = {}
+    for idx, s in enumerate(entries):
+        if idx and entries[idx - 1] == s:
+            continue  # same value: identical removal result
+        if not 0 <= d - s <= bound:
+            continue
+        parts = _member_from_removal(entries, idx)
+        if parts is not None and sum(parts) == d - s:
+            members[YoungDiagram(parts)] = True
+    tail_ok = []
+    for k in (window + 1, window + 2):
+        full = entries + [-j for j in range(window + 1, k + 2)]
+        tail_ok.append(_member_from_removal(full, full.index(-k)) is not None)
+    ordered = tuple(sorted(members, key=lambda m: (m.size, m.parts)))
+    cut = len(entries)
+    while cut > 0 and entries[cut - 1] == -(cut - 1):
+        cut -= 1
+    block_type = "infinite" if all(tail_ok) else "trivial"
+    return block_type, ordered, ordered.index(lam), tuple(entries[:cut])
+
+
+def infinite_blocks_scan(d: int, bound: int) -> list:
+    """Member lists of the distinct infinite blocks among all labels of
+    size <= bound, ascending by least member."""
+    from partcat.young import all_partitions_upto
+
+    seen = {}
+    for lam in all_partitions_upto(bound):
+        block_type, members, _, key = block_search(lam, d, bound)
+        if block_type == "infinite":
+            seen.setdefault(key, members)
+    return sorted(seen.values(), key=lambda ms: (ms[0].size, ms[0].parts))

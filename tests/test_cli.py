@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import partition_count
 from partcat import cli
 from partcat.delta import VerificationReport
 from partcat.pcat import identity, morphism_to_dict
@@ -407,16 +408,17 @@ class TestYoungCaps:
         ids=["d-million", "d-17", "bound-21"],
     )
     def test_blocks_past_label_cap_is_three(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli.young, "all_partitions_upto", self.unreachable)
+        monkeypatch.setattr(cli.young, "partitions_of", self.unreachable)
         monkeypatch.setattr(cli.young, "block_of", self.unreachable)
         code, out, err = run(capsys, "blocks", *argv)
         assert (code, out) == (3, "")
         assert f"cap {cli.young.LABEL_SIZE_CAP}" in err
 
-    def test_blocks_at_label_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.young, "all_partitions_upto", lambda bound: iter(()))
+    def test_blocks_at_label_cap(self, capsys):
         code, out, _ = run(capsys, "blocks", "--d", "16", "--json")
-        assert code == 0 and json.loads(out)["bound"] == cli.young.LABEL_SIZE_CAP == 20
+        doc = json.loads(out)
+        assert code == 0 and doc["bound"] == cli.young.LABEL_SIZE_CAP == 20
+        assert doc["infinite_blocks"] == len(doc["blocks"]) == partition_count(16) == 231
 
     @pytest.mark.parametrize(
         "argv",
@@ -527,6 +529,26 @@ class TestSchema:
         bad.write_text(json.dumps(partition_doc(kind="brauer")))
         code, _, err = run(capsys, "trace", "-f", str(bad))
         assert code == 2 and "kind" in err
+
+
+class TestFieldTagCache:
+    """Documents naming one number field share its tag, and so its powers
+    table; a bad minpoly is refused on every read."""
+
+    def test_two_reads_share_the_tag(self, tmp_path):
+        first = cli.read_morphism_file(str(GOLDEN / "partition-delta.json"))
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(tl_doc(ring="Qdelta", minpoly="d^3 - 3*d + 1")))
+        second = cli.read_morphism_file(str(again))
+        assert second.ring is first.ring and second.ring.powers is first.ring.powers
+
+    @pytest.mark.parametrize("minpoly", ["d^2", "d^2 - 2*d + 1", "d^2 - 2*", "1"])
+    def test_bad_minpoly_is_two_every_time(self, capsys, tmp_path, minpoly):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(partition_doc(ring="Qdelta", minpoly=minpoly)))
+        for _ in range(2):
+            code, out, err = run(capsys, "dual", "-f", str(bad))
+            assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 class TestMixedKinds:

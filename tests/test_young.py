@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernels as reference
 from conftest import partition_count
 from partcat.coeff import POLY_T
 from partcat.errors import CapExceededError
@@ -120,11 +121,46 @@ class TestBlockOf:
         with pytest.raises(ValueError):
             block_of(Y((3,)), 1, 2)
 
-    def test_key_shared_across_members(self):
+    def test_members_share_the_block(self):
         desc = block_of(Y((1,)), 5, 8)
         for member in desc.members:
             other = block_of(member, 5, 8)
-            assert other.key == desc.key
+            assert other.members == desc.members
+
+
+class TestAgainstRemovalSearch:
+    """The criterion against the removal search and label scan it replaced
+    (``reference_kernels.block_search``), over every label of size <= 9 at
+    every d <= 9.
+
+    Labels that share a block have shifted content multisets with equal
+    sums of squares, (d - |la|)^2 + sum_k ((la_k - k)^2 - k^2) (the common
+    tail cancels), so only labels passing that test are given to
+    ``same_block``."""
+
+    @staticmethod
+    def squares(lam, d):
+        return (d - lam.size) ** 2 + sum((p - k) ** 2 - k * k for k, p in enumerate(lam.parts, 1))
+
+    @pytest.mark.parametrize("d", range(10))
+    def test_block_of(self, d):
+        labels = [(mu, self.squares(mu, d)) for mu in all_partitions_upto(15)]
+        for lam in all_partitions_upto(9):
+            q = self.squares(lam, d)
+            linked = [mu for mu, r in labels if r == q and same_block(lam, mu, d)]
+            block_type, members, index, _ = reference.block_search(lam, d, lam.size)
+            assert negligible_class(lam, d) == (not (block_type == "infinite" and index == 0))
+            for bound in (max(lam.size, d + 4), 15):
+                desc = block_of(lam, d, bound)
+                block_type, members, index, _ = reference.block_search(lam, d, bound)
+                assert (desc.block_type, desc.members, desc.index_of_query) == (
+                    block_type, members, index,
+                ), (lam, d, bound)
+                assert set(desc.members) == {mu for mu in linked if mu.size <= bound}
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_infinite_blocks(self, d):
+        assert infinite_blocks(d, d + 4) == reference.infinite_blocks_scan(d, d + 4)
 
 
 class TestNegligible:
@@ -171,9 +207,10 @@ class TestCaps:
             block_of(Y((1,)), 10**6, 10**6 + 4)
         with pytest.raises(CapExceededError, match="window"):
             same_block(Y((1,)), Y((2,)), 10**6)
-        # negligible_class's own window, 2|la| + parts + d + 4, may reach the cap:
+        # negligible_class is the closed criterion and builds no window:
         # (1) is the least member of its infinite block, as at d = 5
         assert negligible_class(Y((1,)), WINDOW_CAP - 7) is negligible_class(Y((1,)), 5) is False
+        assert negligible_class(Y((1,)), 10**6) is False
 
 
 class TestSymmetrizer:
